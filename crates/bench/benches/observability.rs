@@ -16,7 +16,7 @@ use tileqr::dag::{EliminationOrder, TaskGraph};
 use tileqr::gen::random_matrix;
 use tileqr::kernels::{flops, FactorState};
 use tileqr::obs::chrome;
-use tileqr::runtime::{parallel_factor_traced, PoolConfig, TraceConfig};
+use tileqr::runtime::{run_dag, PoolConfig, TraceConfig};
 use tileqr::TiledMatrix;
 use tileqr_bench::harness;
 
@@ -47,7 +47,7 @@ fn main() {
     let run = |trace: TraceConfig| {
         let mut last = None;
         let stats = harness::measure(samples, || {
-            let (_, report) = parallel_factor_traced(
+            let (_, report) = run_dag(
                 FactorState::new(tiled.clone()),
                 &graph,
                 PoolConfig {
@@ -55,6 +55,9 @@ fn main() {
                     trace,
                     ..PoolConfig::default()
                 },
+                None,
+                None,
+                None,
             )
             .expect("factorization");
             last = Some(report);

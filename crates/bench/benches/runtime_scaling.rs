@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 use tileqr::dag::{EliminationOrder, TaskGraph};
 use tileqr::gen::random_matrix;
 use tileqr::kernels::{flops, FactorState};
-use tileqr::runtime::{parallel_factor_traced, PoolConfig, SchedulePolicy};
+use tileqr::runtime::{run_dag, PoolConfig, SchedulePolicy};
 use tileqr::TiledMatrix;
 use tileqr_bench::alloc_counter::{self, CountingAlloc};
 use tileqr_bench::{baseline, harness};
@@ -111,7 +111,7 @@ fn main() {
         for &w in &counts {
             let mut last_report = None;
             let stats = harness::measure(samples, || {
-                let (_, report) = parallel_factor_traced(
+                let (_, report) = run_dag(
                     FactorState::new(tiled.clone()),
                     &graph,
                     PoolConfig {
@@ -119,6 +119,9 @@ fn main() {
                         policy,
                         ..PoolConfig::default()
                     },
+                    None,
+                    None,
+                    None,
                 )
                 .expect("factorization");
                 last_report = Some(report);
@@ -130,7 +133,7 @@ fn main() {
             let fresh = TiledMatrix::from_matrix(&a, b).expect("tiling");
             let mut counted_report = None;
             let allocs = alloc_counter::count(|| {
-                let (_, rep) = parallel_factor_traced(
+                let (_, rep) = run_dag(
                     FactorState::new(fresh),
                     &graph,
                     PoolConfig {
@@ -138,6 +141,9 @@ fn main() {
                         policy,
                         ..PoolConfig::default()
                     },
+                    None,
+                    None,
+                    None,
                 )
                 .expect("factorization");
                 counted_report = Some(rep);

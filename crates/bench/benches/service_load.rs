@@ -18,9 +18,7 @@ use tileqr::dag::{EliminationOrder, TaskGraph};
 use tileqr::gen::random_matrix;
 use tileqr::kernels::FactorState;
 use tileqr::obs::LatencyHistogram;
-use tileqr::runtime::{
-    parallel_factor, JobSpec, PoolConfig, QrService, SchedulePolicy, ServiceConfig,
-};
+use tileqr::runtime::{run_dag, JobSpec, PoolConfig, QrService, SchedulePolicy, ServiceConfig};
 use tileqr::{Matrix, Rng64, TiledMatrix};
 use tileqr_bench::harness;
 
@@ -78,7 +76,7 @@ fn main() {
             tiled.tile_cols(),
             EliminationOrder::FlatTs,
         );
-        parallel_factor(
+        run_dag(
             FactorState::new(tiled),
             &graph,
             PoolConfig {
@@ -86,7 +84,11 @@ fn main() {
                 policy: SchedulePolicy::CriticalPath,
                 ..PoolConfig::default()
             },
+            None,
+            None,
+            None,
         )
+        .map(|(state, _)| state)
         .expect("baseline factor");
     }
     let baseline_s = t0.elapsed().as_secs_f64();

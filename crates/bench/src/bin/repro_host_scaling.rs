@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 use tileqr::dag::{EliminationOrder, TaskGraph};
 use tileqr::gen::random_matrix;
 use tileqr::kernels::{flops, FactorState};
-use tileqr::runtime::{parallel_factor_traced, PoolConfig, SchedulePolicy};
+use tileqr::runtime::{run_dag, PoolConfig, SchedulePolicy};
 use tileqr::TiledMatrix;
 
 fn main() {
@@ -55,7 +55,7 @@ fn main() {
         let mut baseline = 0.0f64;
         let mut w = 1usize;
         while w <= max {
-            let (_, report) = parallel_factor_traced(
+            let (_, report) = run_dag(
                 FactorState::new(tiled.clone()),
                 &graph,
                 PoolConfig {
@@ -63,6 +63,9 @@ fn main() {
                     policy,
                     ..PoolConfig::default()
                 },
+                None,
+                None,
+                None,
             )
             .expect("factorization");
             let secs = report.elapsed.as_secs_f64();

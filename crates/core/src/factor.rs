@@ -5,7 +5,7 @@ use tileqr_dag::TaskGraph;
 use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState};
 use tileqr_matrix::{Matrix, MatrixError, Result, Scalar, TiledMatrix};
 use tileqr_runtime::service::{JobOutput, JobSpec, QrService};
-use tileqr_runtime::{parallel_factor_ft, parallel_factor_traced, PoolConfig, RunReport};
+use tileqr_runtime::{run_dag, PoolConfig, RunReport};
 
 /// A completed tiled QR factorization `A = Q R`.
 ///
@@ -59,15 +59,14 @@ impl<T: Scalar> TiledQr<T> {
             cost: opts.get_cost_model(),
             drift: opts.get_drift(),
         };
-        let (state, report) = match opts.get_fault_tolerance() {
-            // A single worker runs inline either way, so fault tolerance
-            // only engages the recovering pool on a real pool.
-            Some(ft) if opts.get_workers() != 1 => {
-                parallel_factor_ft(state, &graph, config, Some(ft), None)
-                    .map_err(MatrixError::from)?
-            }
-            _ => parallel_factor_traced(state, &graph, config)?,
-        };
+        let (state, report) = run_dag(
+            state,
+            &graph,
+            config,
+            None,
+            opts.get_fault_tolerance(),
+            None,
+        )?;
         Ok((
             TiledQr {
                 state,

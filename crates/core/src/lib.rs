@@ -73,8 +73,7 @@ pub mod dag {
 /// Parallel runtime (re-export of `tileqr-runtime`).
 pub mod runtime {
     pub use tileqr_runtime::{
-        parallel_factor, parallel_factor_ft, parallel_factor_ordered, parallel_factor_traced,
-        DispatchOrder, FaultInjector, FaultTolerance, InjectedFault, NoFaults, PoolConfig,
+        run_dag, DispatchOrder, FaultInjector, FaultTolerance, InjectedFault, PoolConfig,
         ReadyQueue, ReadyTracker, RunReport, RuntimeError, SchedulePolicy, ScriptedFaults,
         TraceConfig,
     };

@@ -92,7 +92,9 @@ impl QrOptions {
     /// stalled workers are retired by the watchdog. Costs one tile-clone
     /// per task staging (so requeues are possible) plus manager-side
     /// commits; the factors remain bit-identical to the sequential run.
-    /// Irrelevant when `workers == 1`.
+    /// With one worker, kernel errors are still retried, but a panic
+    /// retires the only worker and the run fails with
+    /// `RuntimeError::AllWorkersDead`.
     pub fn fault_tolerance(mut self, ft: FaultTolerance) -> Self {
         self.fault_tolerance = Some(ft);
         self

@@ -304,10 +304,16 @@ impl<T: Scalar> TunedQrService<T> {
         }
     }
 
-    /// Best-effort write-through of a freshly fitted profile.
+    /// Best-effort write-through of a freshly fitted profile. A missing
+    /// store starts empty; a store that exists but cannot be read or
+    /// parsed is left untouched rather than replaced by this one profile.
     fn persist(&self, rows: usize, cols: usize, profile: &DeviceProfile) {
         let Some(path) = &self.path else { return };
-        let mut store = ProfileStore::load(path).unwrap_or_default();
+        let mut store = match ProfileStore::load(path) {
+            Ok(store) => store,
+            Err(_) if !path.exists() => ProfileStore::new(),
+            Err(_) => return,
+        };
         store.insert(&format!("{rows}x{cols}"), profile.clone());
         let _ = store.save(path);
     }

@@ -21,7 +21,9 @@
 //! environment variable ([`default_profile_path`]); the service-level
 //! tuner loads it at start and saves after each new fit.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use tileqr_sim::{DeviceKind, DeviceProfile, KernelTiming, StepTimes};
 
 /// Environment variable naming the profile-store path the service-level
@@ -127,9 +129,25 @@ impl ProfileStore {
         Ok(store)
     }
 
-    /// Write the store to `path`.
+    /// Write the store to `path` without ever exposing a partial file:
+    /// the JSON goes to a temporary file in the same directory, synced,
+    /// then renamed over `path` (an atomic replace on POSIX filesystems).
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+        // Unique per process and per call, so concurrent savers never
+        // share a temporary file.
+        static SAVES: AtomicU64 = AtomicU64::new(0);
+        let mut tmp = path.as_os_str().to_owned();
+        let n = SAVES.fetch_add(1, Ordering::Relaxed);
+        tmp.push(format!(".{}-{n}.tmp", std::process::id()));
+        let written = std::fs::File::create(&tmp).and_then(|mut f| {
+            f.write_all(self.to_json().as_bytes())?;
+            f.sync_all()
+        });
+        let renamed = written.and_then(|()| std::fs::rename(&tmp, path));
+        if renamed.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        renamed
     }
 
     /// Read and parse the store at `path` (I/O and parse errors both

@@ -1,47 +1,32 @@
-//! Manager + computing-thread pool (paper Fig. 7).
+//! One factorization, run on the caller's thread.
 //!
-//! The calling thread is the **manager**: it owns DAG readiness
-//! ([`ReadyTracker`]), orders the ready set by [`SchedulePolicy`]
-//! ([`ReadyQueue`]), and hands one task at a time to each idle worker over
-//! that worker's private channel. **Computing threads** stage the task's
-//! tiles out of the [`SharedFactorState`] (per-slot locks, pointer swaps
-//! only), run the kernel on owned/`Arc`-shared data with no lock held, and
-//! commit the results back the same way. Dispatching at most one task per
-//! worker keeps the ready set on the manager's side, which is what lets
-//! the priority policy actually pick the next task instead of draining a
-//! prefetched FIFO.
+//! [`run_dag`] is the paper's runtime (Fig. 7) for one matrix. The calling
+//! thread is the **manager**: it drives one [`JobRun`] (DAG readiness, the
+//! ready set ordered by [`SchedulePolicy`] or a [`DispatchOrder`], the
+//! commit fence, retries, drift re-weighting) and hands one task at a
+//! time to each idle **computing thread** over that worker's private
+//! channel. Dispatching at most one task per worker keeps the ready set on
+//! the manager's side, which is what lets the priority policy actually
+//! pick the next task instead of draining a prefetched FIFO. With one
+//! worker the manager runs each attempt itself and spawns no thread.
 //!
-//! Two execution modes share the manager loop:
-//!
-//! * **Fast** (the default): staging swaps written tiles out of the shared
-//!   state (zero-copy) and workers commit their own results. A worker
-//!   panic or kernel error is *isolated* (`catch_unwind`, no hang, no
-//!   abort) but fatal to the run, because the destructively-staged inputs
-//!   of the failed task are gone.
-//! * **Fault-tolerant** ([`parallel_factor_ft`]): staging clones written
-//!   tiles (`stage_preserving`) so the shared state is untouched until
-//!   commit, and all commits happen on the manager behind a per-task
-//!   `committed` fence. That makes re-execution idempotent: a panicked or
-//!   stalled worker is retired, its in-flight task is requeued with
-//!   bounded retry + deterministic backoff, and a late result from a
-//!   retired worker is either harvested (first commit wins) or dropped.
+//! Without a retry budget a fault is isolated (`catch_unwind`, no hang,
+//! no abort) but fails the run; with one, failed attempts are retried
+//! under deterministic backoff and dead workers are retired, failing with
+//! [`RuntimeError::AllWorkersDead`] once none is left. The engine module
+//! holds the machinery; `QrService` runs many jobs on the same engine.
 
+use crate::engine::{Halt, JobRun, Outcome, RunParams, Slots, TaskDone, Work};
 use crate::error::RuntimeError;
-use crate::recovery::{FaultInjector, FaultTolerance, InjectedFault};
-use crate::scheduler::{DispatchOrder, ReadyQueue, ReadyTracker, SchedulePolicy};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use crate::recovery::{FaultInjector, FaultTolerance};
+use crate::scheduler::{DispatchOrder, SchedulePolicy};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
-use tileqr_dag::{bottom_levels, class_slot, CostModel, TaskGraph, TaskId, TaskKind};
-use tileqr_kernels::exec::{CompletedTask, FactorState, SharedFactorState};
-use tileqr_kernels::{flops, Workspace, WorkspacePolicy};
-use tileqr_matrix::{MatrixError, Result, Scalar};
-use tileqr_obs::{
-    merge_recorders, DriftConfig, DriftDetector, HotPathCounters, KernelHistograms, RawEvent,
-    RawKind, Trace, TraceConfig, WorkerRecorder,
-};
+use tileqr_dag::{CostModel, TaskGraph};
+use tileqr_kernels::exec::FactorState;
+use tileqr_kernels::{Workspace, WorkspacePolicy};
+use tileqr_matrix::Scalar;
+use tileqr_obs::{DriftConfig, HotPathCounters, KernelHistograms, Trace, TraceConfig};
 
 /// Worker-pool configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -63,10 +48,10 @@ pub struct PoolConfig {
     /// [`SchedulePolicy::CriticalPath`] can rank by measured microseconds.
     pub cost: CostModel,
     /// Performance-drift re-weighting. Requires a
-    /// [`CostModel::Calibrated`] model; at panel boundaries the manager
-    /// compares measured compute durations against the model and, past
-    /// the damped threshold, recomputes bottom levels for the remaining
-    /// DAG in place. Off by default.
+    /// [`CostModel::Calibrated`] model and more than one worker; at panel
+    /// boundaries the manager compares measured compute durations against
+    /// the model and, past the damped threshold, recomputes bottom levels
+    /// for the remaining DAG in place. Off by default.
     pub drift: DriftConfig,
 }
 
@@ -81,19 +66,21 @@ impl PoolConfig {
     }
 }
 
-/// Per-run report from [`parallel_factor_traced`].
-#[derive(Debug, Clone)]
+/// Per-run report from [`run_dag`] (and, per job, from `QrService`).
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Tasks executed by each computing thread (credited to the worker
     /// whose result was committed, so the counts sum to the graph size
     /// even when recovery re-executed tasks).
     pub tasks_per_worker: Vec<u64>,
-    /// Wall-clock duration of the run.
+    /// Wall-clock duration of the run, from its first dispatch.
     pub elapsed: std::time::Duration,
     /// Total time workers spent inside `stage` (slot lock waits + pointer
-    /// swaps), summed across workers.
+    /// swaps), summed across workers. Zero for an untraced one-worker run,
+    /// which has no contention to time.
     pub stage_wait: Duration,
-    /// Total time workers spent inside `commit`, summed across workers.
+    /// Total time spent inside `commit`, summed across workers and the
+    /// manager.
     pub commit_wait: Duration,
     /// High-water mark of the manager's ready-set depth.
     pub max_ready_depth: usize,
@@ -103,19 +90,19 @@ pub struct RunReport {
     /// error, worker panic, or stall).
     pub retries: u64,
     /// In-flight tasks returned to the pending set because their worker
-    /// died (panic, stall retirement, or a dead dispatch channel).
+    /// died (panic or stall retirement).
     pub requeues: u64,
-    /// Workers retired mid-run (panicked, stalled past the watchdog, or
-    /// found dead at dispatch).
+    /// Workers retired mid-run (panicked or stalled past the watchdog).
     pub worker_deaths: u64,
     /// Times the drift detector fired and the manager re-ranked the ready
     /// set under freshly scaled costs. Always 0 unless the run had a
-    /// calibrated cost model and drift detection enabled.
+    /// calibrated cost model, drift detection enabled, and more than one
+    /// worker.
     pub drift_reweights: u64,
     /// Unified lifecycle trace of the run — `Some` iff the run's
     /// [`TraceConfig`] was enabled. One lane per worker plus a `manager`
-    /// lane carrying ready/dispatch/recovery instants (and, in
-    /// fault-tolerant mode, the fenced commits).
+    /// lane carrying ready/dispatch/recovery instants (and, when the run
+    /// has a retry budget, the fenced commits).
     pub trace: Option<Trace>,
     /// Memory-discipline counters: copy-on-write fallback clones plus
     /// workspace-arena bytes and growths, summed over all workers.
@@ -174,820 +161,112 @@ impl RunReport {
     }
 }
 
-/// Per-kernel flop counts as scheduling weights, so the bottom levels
-/// reflect real work, not just DAG depth.
-pub(crate) fn flop_weight(b: usize) -> impl Fn(TaskKind) -> f64 + Copy {
-    move |t| match t {
-        TaskKind::Geqrt { .. } => flops::geqrt_flops(b) as f64,
-        TaskKind::Unmqr { .. } => flops::unmqr_flops(b) as f64,
-        TaskKind::Tsqrt { .. } => flops::tsqrt_flops(b) as f64,
-        TaskKind::Tsmqr { .. } => flops::tsmqr_flops(b) as f64,
-        TaskKind::Ttqrt { .. } => flops::ttqrt_flops(b) as f64,
-        TaskKind::Ttmqr { .. } => flops::ttmqr_flops(b) as f64,
-    }
-}
-
-/// Task weight under the run's [`CostModel`]: flops (the seed behaviour)
-/// or calibrated microseconds at tile size `b`.
-pub(crate) fn model_weight(cost: CostModel, b: usize) -> impl Fn(TaskKind) -> f64 + Copy {
-    move |t| match cost {
-        CostModel::Flops => flop_weight(b)(t),
-        CostModel::Calibrated(c) => c.cost_us(t, b),
-    }
-}
-
-/// Execute every task of `graph` over `state`, in parallel.
+/// Execute every task of `graph` over `state` and return the completed
+/// state with its [`RunReport`].
 ///
-/// Returns the completed state. Any kernel error aborts the run and is
-/// propagated (the pool drains cleanly first).
-pub fn parallel_factor<T: Scalar>(
-    state: FactorState<T>,
-    graph: &TaskGraph,
-    config: PoolConfig,
-) -> Result<FactorState<T>> {
-    parallel_factor_traced(state, graph, config).map(|(state, _)| state)
-}
-
-/// [`parallel_factor`] with a per-worker [`RunReport`].
-pub fn parallel_factor_traced<T: Scalar>(
-    state: FactorState<T>,
-    graph: &TaskGraph,
-    config: PoolConfig,
-) -> Result<(FactorState<T>, RunReport)> {
-    let started = Instant::now();
-    let workers = config.effective_workers().max(1);
-    if workers == 1 || graph.len() <= 1 {
-        // Degenerate pool: run inline in program order.
-        return run_inline(state, graph, config.policy, started, config.trace);
-    }
-    parallel_factor_ordered(state, graph, config, DispatchOrder::Policy(config.policy))
-}
-
-/// [`parallel_factor_traced`] dispatching under an explicit
-/// [`DispatchOrder`] — the testkit's hook for driving the *real* pool
-/// (threads, channels, staged commits and all) through adversarial and
-/// seeded ready-set orders. Unlike [`parallel_factor_traced`], a
-/// single-worker config still runs the manager loop, so `workers == 1`
-/// honours the requested order instead of falling back to program order
-/// (the single-worker-starvation scenario).
-pub fn parallel_factor_ordered<T: Scalar>(
-    state: FactorState<T>,
-    graph: &TaskGraph,
-    config: PoolConfig,
-    order: DispatchOrder,
-) -> Result<(FactorState<T>, RunReport)> {
-    let started = Instant::now();
-    if graph.len() <= 1 {
-        return run_inline(state, graph, order.base_policy(), started, config.trace);
-    }
-    run_pool(state, graph, config, order, None, None).map_err(MatrixError::from)
-}
-
-/// Fault-tolerant (or fault-isolated) parallel factorization.
-///
-/// With `ft = Some(..)` the pool recovers from worker panics, transient
-/// kernel failures, and stalls: the worker is retired (or the error
-/// absorbed), the task is requeued after deterministic backoff, and the
-/// run continues degraded on the remaining workers — failing only with a
-/// structured [`RuntimeError`] once the per-task attempt budget or the
-/// worker pool itself is exhausted. With `ft = None` the pool runs the
-/// zero-copy fast path: a fault still cannot hang or abort the process
-/// (workers execute under `catch_unwind`), but it fails the run, because
-/// destructive staging makes re-execution unsafe.
-///
-/// `injector` is the deterministic test seam — consulted before every
-/// attempt, it can script panics, transient failures, and stalls at exact
-/// `(task, attempt)` coordinates (see
+/// `order` overrides `config.policy` (the testkit's hook for driving the
+/// real engine through adversarial and seeded ready-set orders). `ft`
+/// gives the run a retry budget: panics, transient kernel failures and
+/// (with [`FaultTolerance::stall_timeout`]) stalls are then recovered, and
+/// the run fails only with a structured [`RuntimeError`] once a task's
+/// attempts or the workers are exhausted. Without it the zero-copy fast
+/// path runs and the first fault fails the run. `injector` is the
+/// deterministic test seam, consulted for every attempt (see
 /// [`ScriptedFaults`](crate::recovery::ScriptedFaults)).
-pub fn parallel_factor_ft<T: Scalar>(
+pub fn run_dag<T: Scalar>(
     state: FactorState<T>,
     graph: &TaskGraph,
     config: PoolConfig,
+    order: Option<DispatchOrder>,
     ft: Option<FaultTolerance>,
     injector: Option<&dyn FaultInjector>,
-) -> std::result::Result<(FactorState<T>, RunReport), RuntimeError> {
-    run_pool(
-        state,
-        graph,
-        config,
-        DispatchOrder::Policy(config.policy),
-        ft,
-        injector,
-    )
-}
-
-fn run_inline<T: Scalar>(
-    mut state: FactorState<T>,
-    graph: &TaskGraph,
-    policy: SchedulePolicy,
-    started: Instant,
-    trace_cfg: TraceConfig,
-) -> Result<(FactorState<T>, RunReport)> {
-    let trace = if trace_cfg.enabled {
-        // Inline runs have no staging or commit contention; one compute
-        // span per task on the single worker lane is the whole story.
-        let mut rec = WorkerRecorder::new(trace_cfg.capacity_per_lane.max(graph.len()));
-        for tid in 0..graph.len() {
-            let t0 = ns_since(started);
-            state.execute(graph.task(tid))?;
-            rec.record(RawEvent::interval(
-                RawKind::Compute,
-                tid,
-                0,
-                t0,
-                ns_since(started),
-            ));
-        }
-        Some(merge_recorders(&[rec], vec!["worker0".to_string()], graph))
-    } else {
-        state.run_all(graph)?;
-        None
-    };
-    // Nonzero cow_clones here means the *caller* kept tile handles alive
-    // (e.g. a shallow `TiledMatrix` clone) — the run pays one copy per
-    // shared tile on first take. With uniquely-owned input this is 0.
-    let counters = HotPathCounters {
-        cow_clones: state.cow_clones(),
-        workspace_bytes: state.workspace_bytes(),
-        workspace_resizes: state.workspace_resizes(),
-    };
-    Ok((
-        state,
-        RunReport {
-            tasks_per_worker: vec![graph.len() as u64],
-            elapsed: started.elapsed(),
-            stage_wait: Duration::ZERO,
-            commit_wait: Duration::ZERO,
-            max_ready_depth: 0,
-            policy,
-            retries: 0,
-            requeues: 0,
-            worker_deaths: 0,
-            drift_reweights: 0,
-            trace,
-            counters,
-        },
-    ))
-}
-
-/// Nanoseconds elapsed since `base`, as the trace timestamp.
-#[inline]
-fn ns_since(base: Instant) -> u64 {
-    base.elapsed().as_nanos() as u64
-}
-
-/// Nanosecond trace timestamp of an already-captured `Instant`.
-#[inline]
-fn ns_since_at(base: Instant, t: Instant) -> u64 {
-    t.duration_since(base).as_nanos() as u64
-}
-
-/// What a worker sends back per attempt.
-enum WorkerOutcome<T: Scalar> {
-    /// The attempt ran to completion. `completed` carries the outputs in
-    /// fault-tolerant mode (the manager commits); in fast mode the worker
-    /// already committed and sends `None`.
-    Done {
-        completed: Option<Box<CompletedTask<T>>>,
-        stage_wait: Duration,
-        commit_wait: Duration,
-        /// Kernel-only duration of the attempt — the drift detector's
-        /// input (measured in both modes, trace on or off).
-        compute: Duration,
-    },
-    /// The kernel (or an injected transient fault) returned an error.
-    Failed(MatrixError),
-    /// The attempt panicked; the worker retires itself after reporting.
-    Panicked(String),
-}
-
-struct Completion<T: Scalar> {
-    task: TaskId,
-    worker: usize,
-    attempt: u32,
-    outcome: WorkerOutcome<T>,
-}
-
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-struct ManagerStats {
-    tasks_per_worker: Vec<u64>,
-    stage_wait: Duration,
-    commit_wait: Duration,
-    max_ready_depth: usize,
-    retries: u64,
-    requeues: u64,
-    worker_deaths: u64,
-    drift_reweights: u64,
-    trace: Option<Trace>,
-}
-
-/// What one worker attempt hands back: the completed task when the
-/// commit is deferred to the manager (fault-tolerant mode), plus the
-/// stage wait, commit wait, and kernel-only compute time.
-type AttemptOutput<T> = (Option<Box<CompletedTask<T>>>, Duration, Duration, Duration);
-
-/// The unified manager loop behind every multi-worker entry point.
-fn run_pool<T: Scalar>(
-    state: FactorState<T>,
-    graph: &TaskGraph,
-    config: PoolConfig,
-    order: DispatchOrder,
-    ft: Option<FaultTolerance>,
-    injector: Option<&dyn FaultInjector>,
-) -> std::result::Result<(FactorState<T>, RunReport), RuntimeError> {
-    let started = Instant::now();
+) -> Result<(FactorState<T>, RunReport), RuntimeError> {
+    let epoch = Instant::now();
     let workers = config.effective_workers().max(1);
-    let b = state.tiles().tile_size();
-    let shared = SharedFactorState::new(state);
-    let ib = shared.inner_block();
-    let (done_tx, done_rx) = mpsc::channel::<Completion<T>>();
-    let ft_mode = ft.is_some();
-    let trace_cfg = config.trace;
-    let per_worker_ws = config.workspace == WorkspacePolicy::PerWorker;
-    // Retired workers hand their recorder back over this channel; the
-    // manager collects them after closing the dispatch channels.
-    let (rec_tx, rec_rx) = mpsc::channel::<(usize, WorkerRecorder)>();
-    // Exiting workers report their arena's final size and growth count
-    // here; drained after the scope joins, so it never blocks.
-    let (ws_tx, ws_rx) = mpsc::channel::<(usize, u64)>();
-
-    let run_result: std::result::Result<ManagerStats, RuntimeError> = std::thread::scope(|scope| {
-        // One private channel per worker: the manager chooses *which*
-        // idle worker gets the next task, so no shared ready queue
-        // exists on the worker side. `None` marks a retired worker.
-        let mut task_txs: Vec<Option<mpsc::Sender<(TaskId, u32)>>> = Vec::with_capacity(workers);
-        for worker_id in 0..workers {
-            let (tx, rx) = mpsc::channel::<(TaskId, u32)>();
-            task_txs.push(Some(tx));
-            let done_tx = done_tx.clone();
-            let rec_tx = rec_tx.clone();
-            let ws_tx = ws_tx.clone();
-            let shared = &shared;
-            let mut rec = trace_cfg
-                .enabled
-                .then(|| WorkerRecorder::new(trace_cfg.capacity_per_lane));
-            // One arena per computing thread, sized once for the run's
-            // (b, ib): every kernel this worker executes borrows scratch
-            // from it instead of allocating.
-            let mut ws = if per_worker_ws {
-                Workspace::<T>::new(b, ib)
-            } else {
-                Workspace::minimal()
-            };
-            scope.spawn(move || {
-                while let Ok((tid, attempt)) = rx.recv() {
-                    let task = graph.task(tid);
-                    let rec_ref = &mut rec;
-                    let ws_ref = &mut ws;
-                    let result = catch_unwind(AssertUnwindSafe(|| -> Result<AttemptOutput<T>> {
-                        let fault = injector
-                            .map_or(InjectedFault::None, |f| f.before_attempt(tid, attempt));
-                        match fault {
-                            InjectedFault::None | InjectedFault::PoisonNan => {}
-                            InjectedFault::Panic => {
-                                panic!("injected panic: task {tid} attempt {attempt}")
-                            }
-                            InjectedFault::TransientError => {
-                                return Err(MatrixError::Runtime {
-                                    reason: format!(
-                                        "injected transient failure: task {tid} attempt {attempt}"
-                                    ),
-                                })
-                            }
-                            InjectedFault::Stall(d) => std::thread::sleep(d),
-                        }
-                        let t0 = Instant::now();
-                        let staged = if ft_mode {
-                            shared.stage_preserving(task)
-                        } else {
-                            shared.stage(task)
-                        }?;
-                        let t_staged = Instant::now();
-                        let stage_wait = t_staged.duration_since(t0);
-                        let mut done = if per_worker_ws {
-                            staged.compute_with(ws_ref)?
-                        } else {
-                            // PerCall baseline: throwaway scratch every task.
-                            staged.compute()?
-                        };
-                        let compute = t_staged.elapsed();
-                        if fault == InjectedFault::PoisonNan {
-                            // NaN-corrupt the output *after* the kernel ran;
-                            // the pool path has no poison fence (that
-                            // containment lives in the service), so this
-                            // seam is only consulted by service tests here.
-                            done.poison();
-                        }
-                        if ft_mode {
-                            if let Some(r) = rec_ref.as_mut() {
-                                let now = ns_since(started);
-                                let t0 = ns_since_at(started, t0);
-                                let ts = ns_since_at(started, t_staged);
-                                r.record(RawEvent::interval(RawKind::Stage, tid, attempt, t0, ts));
-                                r.record(RawEvent::interval(
-                                    RawKind::Compute,
-                                    tid,
-                                    attempt,
-                                    ts,
-                                    now,
-                                ));
-                            }
-                            // Commit on the manager, behind the fence.
-                            Ok((Some(Box::new(done)), stage_wait, Duration::ZERO, compute))
-                        } else {
-                            let t1 = Instant::now();
-                            shared.commit(done);
-                            if let Some(r) = rec_ref.as_mut() {
-                                let now = ns_since(started);
-                                let t0 = ns_since_at(started, t0);
-                                let ts = ns_since_at(started, t_staged);
-                                let tc = ns_since_at(started, t1);
-                                r.record(RawEvent::interval(RawKind::Stage, tid, attempt, t0, ts));
-                                r.record(RawEvent::interval(
-                                    RawKind::Compute,
-                                    tid,
-                                    attempt,
-                                    ts,
-                                    tc,
-                                ));
-                                r.record(RawEvent::interval(
-                                    RawKind::Commit,
-                                    tid,
-                                    attempt,
-                                    tc,
-                                    now,
-                                ));
-                            }
-                            Ok((None, stage_wait, t1.elapsed(), compute))
-                        }
-                    }));
-                    let (outcome, retire) = match result {
-                        Ok(Ok((completed, stage_wait, commit_wait, compute))) => (
-                            WorkerOutcome::Done {
-                                completed,
-                                stage_wait,
-                                commit_wait,
-                                compute,
-                            },
-                            false,
-                        ),
-                        Ok(Err(e)) => (WorkerOutcome::Failed(e), false),
-                        Err(payload) => (
-                            WorkerOutcome::Panicked(panic_message(payload.as_ref())),
-                            true,
-                        ),
-                    };
-                    let gone = done_tx
-                        .send(Completion {
-                            task: tid,
-                            worker: worker_id,
-                            attempt,
-                            outcome,
-                        })
-                        .is_err();
-                    if gone || retire {
-                        break;
-                    }
-                }
-                if let Some(r) = rec {
-                    let _ = rec_tx.send((worker_id, r));
-                }
-                let _ = ws_tx.send((ws.bytes(), ws.resizes()));
-            });
-        }
-        drop(done_tx);
-        drop(rec_tx);
-        drop(ws_tx);
-
-        // Manager loop: readiness tracking + policy-ordered dispatch +
-        // recovery bookkeeping.
-        let total = graph.len();
-        let mut tracker = ReadyTracker::new(graph);
-        let mut queue = ReadyQueue::for_order(order, graph, model_weight(config.cost, b));
-        // Drift re-weighting state: only armed when the run both asked for
-        // it and has a calibrated model to measure against. `base` is the
-        // *original* calibration; the detector's ratios are absolute vs
-        // that, so each re-weight scales `base`, never the scaled costs.
-        let mut drift_state = config
-            .drift
-            .enabled
-            .then(|| config.cost.class_costs())
-            .flatten()
-            .map(|base| (DriftDetector::new(config.drift, base.expected_us(b)), base));
-        let mut drift_panel = 0usize;
-        // The manager's own lane: ready/dispatch/recovery instants, plus
-        // the fenced commits in fault-tolerant mode.
-        let mut mgr_rec = trace_cfg
-            .enabled
-            .then(|| WorkerRecorder::new(trace_cfg.capacity_per_lane));
-        for t in tracker.initial_ready(graph) {
-            if let Some(r) = mgr_rec.as_mut() {
-                r.record(RawEvent::instant(RawKind::Ready, t, 0, ns_since(started)));
-            }
-            queue.push(t);
-        }
-        let mut idle: Vec<usize> = (0..workers).rev().collect();
-        let mut alive = vec![true; workers];
-        let mut in_flight_of: Vec<Option<(TaskId, Instant)>> = vec![None; workers];
-        let mut in_flight = 0usize;
-        let mut committed = vec![false; total];
-        let mut completed = 0usize;
-        let mut attempts = vec![0u32; total];
-        let mut parked: BinaryHeap<Reverse<(Instant, TaskId)>> = BinaryHeap::new();
-        let mut fatal: Option<RuntimeError> = None;
-        let mut stats = ManagerStats {
-            tasks_per_worker: vec![0u64; workers],
-            stage_wait: Duration::ZERO,
-            commit_wait: Duration::ZERO,
-            max_ready_depth: 0,
-            retries: 0,
-            requeues: 0,
-            worker_deaths: 0,
-            drift_reweights: 0,
-            trace: None,
-        };
-
-        // Park `t` for a backoff-delayed retry, or fail the run once
-        // its attempt budget is gone.
-        macro_rules! retry_or_fail {
-            ($t:expr, $last:expr) => {{
-                let t: TaskId = $t;
-                let ftc = ft.expect("retries only happen in fault-tolerant mode");
-                if attempts[t] >= ftc.max_attempts {
-                    if fatal.is_none() {
-                        fatal = Some(RuntimeError::RetriesExhausted {
-                            task: t,
-                            attempts: attempts[t],
-                            last: $last,
-                        });
-                    }
-                } else {
-                    stats.retries += 1;
-                    if let Some(r) = mgr_rec.as_mut() {
-                        r.record(RawEvent::instant(
-                            RawKind::Retry,
-                            t,
-                            attempts[t] as u64,
-                            ns_since(started),
-                        ));
-                    }
-                    let delay = ftc.backoff(attempts[t]);
-                    parked.push(Reverse((Instant::now() + delay, t)));
-                }
-            }};
-        }
-
-        // Record a worker-death (and optional requeue) instant pair.
-        macro_rules! trace_death {
-            ($w:expr, $t:expr) => {{
-                if let Some(r) = mgr_rec.as_mut() {
-                    let now = ns_since(started);
-                    r.record(RawEvent::instant(
-                        RawKind::WorkerDeath,
-                        RawEvent::NO_TASK,
-                        $w as u64,
-                        now,
-                    ));
-                    if let Some(t) = $t {
-                        r.record(RawEvent::instant(RawKind::Requeue, t, $w as u64, now));
-                    }
-                }
-            }};
-        }
-
-        loop {
-            // Wake parked retries whose backoff has elapsed.
-            let now = Instant::now();
-            while let Some(&Reverse((when, t))) = parked.peek() {
-                if when > now {
+    let arena = (config.workspace == WorkspacePolicy::PerWorker)
+        .then(|| Workspace::new(state.tiles().tile_size(), state.inner_block()));
+    let params = RunParams {
+        workers,
+        order: order.unwrap_or(DispatchOrder::Policy(config.policy)),
+        cost: config.cost,
+        drift: config.drift,
+        ft,
+        poison_fence: false,
+        trace: config.trace,
+    };
+    let mut run = JobRun::new(state, graph, &params, epoch);
+    let stall = ft.and_then(|f| f.stall_timeout);
+    let (done_tx, done_rx) = mpsc::channel::<TaskDone<T>>();
+    let (lanes, counters) = std::thread::scope(|scope| {
+        let inline = workers == 1;
+        let mut slots = Slots::new(scope, workers, inline, done_tx, arena, config.trace, epoch);
+        while run.halt.is_none() {
+            run.wake();
+            while let Some(w) = slots.idle() {
+                let Some(work) = run.next(graph, 0, w, injector) else {
                     break;
-                }
-                parked.pop();
-                if !committed[t] {
-                    queue.push(t);
-                }
+                };
+                slots.send(w, Work::Task(work));
             }
-
-            // Dispatch: pair ready tasks with alive idle workers.
-            while fatal.is_none() {
-                while idle.last().is_some_and(|&w| !alive[w]) {
-                    idle.pop();
-                }
-                let Some(&w) = idle.last() else { break };
-                let Some(t) = queue.pop() else { break };
-                if committed[t] {
-                    continue; // superseded by a harvested late result
-                }
-                idle.pop();
-                attempts[t] += 1;
-                let attempt = attempts[t] - 1;
-                let sent = task_txs[w]
-                    .as_ref()
-                    .is_some_and(|tx| tx.send((t, attempt)).is_ok());
-                if sent {
-                    if let Some(r) = mgr_rec.as_mut() {
-                        r.record(RawEvent::instant(
-                            RawKind::Dispatch,
-                            t,
-                            w as u64,
-                            ns_since(started),
-                        ));
-                    }
-                    in_flight_of[w] = Some((t, Instant::now()));
-                    in_flight += 1;
-                } else {
-                    // Worker vanished without reporting: retire it and
-                    // put the task back (the attempt never started).
-                    alive[w] = false;
-                    task_txs[w] = None;
-                    stats.worker_deaths += 1;
-                    attempts[t] -= 1;
-                    stats.requeues += 1;
-                    trace_death!(w, Some(t));
-                    queue.push(t);
-                }
-            }
-
-            // Termination.
-            if completed == total {
+            if run.is_complete() {
                 break;
             }
-            if in_flight == 0 {
-                if fatal.is_some() {
-                    break;
-                }
-                if !alive.iter().any(|&a| a) {
-                    fatal = Some(RuntimeError::AllWorkersDead { completed, total });
-                    break;
-                }
-                if parked.is_empty() && queue.is_empty() {
-                    // Unreachable: every uncommitted task is queued,
-                    // parked, in flight, or behind one that is. Guard
-                    // instead of hanging if the invariant ever breaks.
-                    fatal = Some(RuntimeError::Disconnected { in_flight: 0 });
-                    break;
-                }
+            if run.in_flight() == 0 && run.next_wake().is_none() {
+                // Nothing runs and nothing waits: the workers are gone (or,
+                // were the DAG invariant broken, nothing is ready).
+                let (completed, total) = (run.completed(), graph.len());
+                run.fail(if slots.all_retired() {
+                    RuntimeError::AllWorkersDead { completed, total }
+                } else {
+                    RuntimeError::Disconnected { in_flight: 0 }
+                });
+                break;
             }
-
-            // Wait for the next completion, bounded by the earliest
-            // parked wake-up or watchdog expiry.
-            let mut deadline: Option<Instant> = parked.peek().map(|&Reverse((when, _))| when);
-            if let Some(st) = ft.and_then(|f| f.stall_timeout) {
-                for w in 0..workers {
-                    if !alive[w] {
-                        continue;
-                    }
-                    if let Some((_, since)) = in_flight_of[w] {
-                        let dl = since + st;
-                        deadline = Some(deadline.map_or(dl, |d| d.min(dl)));
-                    }
-                }
-            }
-            let received = match deadline {
-                None => match done_rx.recv() {
-                    Ok(m) => Some(m),
-                    Err(_) => {
-                        if fatal.is_none() {
-                            fatal = Some(RuntimeError::Disconnected { in_flight });
-                        }
-                        break;
-                    }
-                },
-                Some(dl) => {
-                    let wait = dl.saturating_duration_since(Instant::now());
-                    match done_rx.recv_timeout(wait) {
-                        Ok(m) => Some(m),
-                        Err(mpsc::RecvTimeoutError::Timeout) => None,
-                        Err(mpsc::RecvTimeoutError::Disconnected) => {
-                            if fatal.is_none() {
-                                fatal = Some(RuntimeError::Disconnected { in_flight });
-                            }
-                            break;
-                        }
-                    }
-                }
+            // Wait for the next report, bounded by the earliest parked
+            // retry and watchdog expiry.
+            let deadline = [
+                run.next_wake(),
+                stall.and_then(|b| slots.earliest_expiry(b)),
+            ]
+            .into_iter()
+            .flatten()
+            .min();
+            // The slots hold a sender, so the channel never disconnects.
+            let received = match (slots.take_inline(), deadline) {
+                (Some(done), _) => Some(done),
+                (None, Some(at)) => done_rx
+                    .recv_timeout(at.saturating_duration_since(Instant::now()))
+                    .ok(),
+                (None, None) => done_rx.recv().ok(),
             };
-
-            let Some(Completion {
-                task: t,
-                worker: w,
-                attempt: done_attempt,
-                outcome,
-            }) = received
-            else {
-                // Timeout: sweep the watchdog, retiring stalled workers
-                // and requeueing their tasks.
-                if let Some(st) = ft.and_then(|f| f.stall_timeout) {
-                    let now = Instant::now();
-                    for w in 0..workers {
-                        if !alive[w] {
-                            continue;
-                        }
-                        let Some((t, since)) = in_flight_of[w] else {
-                            continue;
-                        };
-                        if now.duration_since(since) >= st {
-                            alive[w] = false;
-                            task_txs[w] = None;
-                            in_flight_of[w] = None;
-                            in_flight -= 1;
-                            stats.worker_deaths += 1;
-                            if !committed[t] {
-                                stats.requeues += 1;
-                                trace_death!(w, Some(t));
-                                retry_or_fail!(t, format!("worker {w} stalled past {st:?}"));
-                            } else {
-                                trace_death!(w, None::<TaskId>);
-                            }
-                        }
+            match received {
+                Some(done) => {
+                    let expected = slots.settle(&done);
+                    if expected && matches!(done.outcome, Outcome::Panicked(_)) {
+                        slots.retire(done.worker);
                     }
+                    run.on_done(graph, done, expected);
                 }
-                continue;
-            };
-
-            // `expected` distinguishes the attempt the manager is
-            // waiting on from a late report by a retired worker.
-            let expected = alive[w] && in_flight_of[w].is_some_and(|(xt, _)| xt == t);
-            if expected {
-                in_flight_of[w] = None;
-                in_flight -= 1;
-            }
-            match outcome {
-                WorkerOutcome::Done {
-                    completed: payload,
-                    stage_wait,
-                    commit_wait,
-                    compute,
-                } => {
-                    stats.stage_wait += stage_wait;
-                    stats.commit_wait += commit_wait;
-                    if !committed[t] {
-                        if let Some((detector, base)) = drift_state.as_mut() {
-                            let kind = graph.task(t);
-                            detector.record(class_slot(kind.class()), compute.as_secs_f64() * 1e6);
-                            // Panel boundary: the first committed task of a
-                            // later panel closes the previous panel's window.
-                            if kind.panel() > drift_panel {
-                                drift_panel = kind.panel();
-                                if let Some(ratios) = detector.check() {
-                                    let scaled = base.scaled(ratios);
-                                    queue.reprioritize(bottom_levels(graph, |k| {
-                                        scaled.cost_us(k, b)
-                                    }));
-                                    stats.drift_reweights += 1;
-                                }
-                            }
-                        }
-                        // First result wins — even from a retired
-                        // worker: duplicate attempts stage identical
-                        // inputs (nothing conflicting runs before the
-                        // commit), so outputs are bit-identical.
-                        if let Some(done) = payload {
-                            let t1 = Instant::now();
-                            shared.commit(*done);
-                            stats.commit_wait += t1.elapsed();
-                            if let Some(r) = mgr_rec.as_mut() {
-                                r.record(RawEvent::interval(
-                                    RawKind::Commit,
-                                    t,
-                                    done_attempt,
-                                    ns_since_at(started, t1),
-                                    ns_since(started),
-                                ));
-                            }
-                        }
-                        committed[t] = true;
-                        completed += 1;
-                        stats.tasks_per_worker[w] += 1;
-                        let ready = tracker.complete(graph, t);
-                        if fatal.is_none() {
-                            for r in ready {
-                                if let Some(rec) = mgr_rec.as_mut() {
-                                    rec.record(RawEvent::instant(
-                                        RawKind::Ready,
-                                        r,
-                                        0,
-                                        ns_since(started),
-                                    ));
-                                }
-                                queue.push(r);
-                            }
-                        }
-                    }
-                    if expected {
-                        idle.push(w);
-                    }
-                }
-                WorkerOutcome::Failed(e) => {
-                    if expected {
-                        idle.push(w);
-                        if !committed[t] {
-                            if ft_mode {
-                                retry_or_fail!(t, e.to_string());
-                            } else if fatal.is_none() {
-                                fatal = Some(RuntimeError::Kernel { task: t, source: e });
-                            }
-                        }
-                    }
-                    // A late failure from a retired worker is ignored:
-                    // its task was already requeued at retirement.
-                }
-                WorkerOutcome::Panicked(message) => {
-                    if alive[w] {
-                        alive[w] = false;
-                        task_txs[w] = None;
-                        stats.worker_deaths += 1;
-                        trace_death!(w, None::<TaskId>);
-                    }
-                    if expected && !committed[t] {
-                        stats.requeues += 1;
-                        if let Some(r) = mgr_rec.as_mut() {
-                            r.record(RawEvent::instant(
-                                RawKind::Requeue,
-                                t,
-                                w as u64,
-                                ns_since(started),
-                            ));
-                        }
-                        if ft_mode {
-                            retry_or_fail!(t, format!("panic: {message}"));
-                        } else if fatal.is_none() {
-                            fatal = Some(RuntimeError::TaskPanicked {
-                                task: t,
-                                worker: w,
-                                message,
-                            });
+                // A timeout: sweep the watchdog.
+                None => {
+                    if let Some(bound) = stall {
+                        for (w, _, task) in slots.expire(bound) {
+                            run.on_stalled(task, w, bound);
                         }
                     }
                 }
             }
         }
-
-        stats.max_ready_depth = queue.max_depth();
-        drop(task_txs); // workers exit
-        if let Some(mgr) = mgr_rec {
-            // Blocks until every worker (even one finishing a late
-            // attempt) has exited and returned its recorder — exactly
-            // the join the enclosing scope performs anyway.
-            let mut slots: Vec<Option<WorkerRecorder>> = (0..workers).map(|_| None).collect();
-            for (w, r) in rec_rx.iter() {
-                slots[w] = Some(r);
-            }
-            let mut recorders: Vec<WorkerRecorder> = slots
-                .into_iter()
-                .map(|s| s.unwrap_or_else(|| WorkerRecorder::new(1)))
-                .collect();
-            recorders.push(mgr);
-            let mut lanes: Vec<String> = (0..workers).map(|w| format!("worker{w}")).collect();
-            lanes.push("manager".to_string());
-            stats.trace = Some(merge_recorders(&recorders, lanes, graph));
-        }
-        match fatal {
-            Some(e) => Err(e),
-            None => {
-                debug_assert!(tracker.all_done());
-                Ok(stats)
-            }
-        }
+        slots.finish()
     });
-
-    let stats = run_result?;
-    // Every worker has exited (the scope joined them), so this drains
-    // without blocking. Workers that died before reporting simply
-    // contribute nothing.
-    let mut counters = HotPathCounters::default();
-    for (bytes, resizes) in ws_rx.try_iter() {
-        counters.workspace_bytes += bytes;
-        counters.workspace_resizes += resizes;
+    match run.halt.take() {
+        None => {
+            let (state, report, _) = run.finish(graph, lanes, counters);
+            Ok((state, report))
+        }
+        Some(Halt::Failed(e)) => Err(e),
+        Some(_) => unreachable!("a single-job run is neither cancelled nor poison-fenced"),
     }
-    let state = shared.into_state();
-    counters.cow_clones = state.cow_clones();
-    Ok((
-        state,
-        RunReport {
-            tasks_per_worker: stats.tasks_per_worker,
-            elapsed: started.elapsed(),
-            stage_wait: stats.stage_wait,
-            commit_wait: stats.commit_wait,
-            max_ready_depth: stats.max_ready_depth,
-            policy: order.base_policy(),
-            retries: stats.retries,
-            requeues: stats.requeues,
-            worker_deaths: stats.worker_deaths,
-            drift_reweights: stats.drift_reweights,
-            trace: stats.trace,
-            counters,
-        },
-    ))
 }
 
 #[cfg(test)]
@@ -1012,14 +291,18 @@ mod tests {
             tiled.tile_cols(),
             EliminationOrder::FlatTs,
         );
-        let st = parallel_factor(
+        let st = run_dag(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers,
                 ..PoolConfig::default()
             },
+            None,
+            None,
+            None,
         )
+        .map(|(state, _)| state)
         .unwrap();
         (a, st, g)
     }
@@ -1047,14 +330,18 @@ mod tests {
         let mut seq = FactorState::new(tiled.clone());
         seq.run_all(&g).unwrap();
 
-        let par = parallel_factor(
+        let par = run_dag(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers: 4,
                 ..PoolConfig::default()
             },
+            None,
+            None,
+            None,
         )
+        .map(|(state, _)| state)
         .unwrap();
         // Tiled QR is deterministic at the task level, so parallel and
         // sequential results are bit-identical.
@@ -1067,7 +354,7 @@ mod tests {
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build(6, 6, EliminationOrder::FlatTs);
 
-        let fifo = parallel_factor(
+        let fifo = run_dag(
             FactorState::new(tiled.clone()),
             &g,
             PoolConfig {
@@ -1075,9 +362,13 @@ mod tests {
                 policy: SchedulePolicy::Fifo,
                 ..PoolConfig::default()
             },
+            None,
+            None,
+            None,
         )
+        .map(|(state, _)| state)
         .unwrap();
-        let cp = parallel_factor(
+        let cp = run_dag(
             FactorState::new(tiled),
             &g,
             PoolConfig {
@@ -1085,7 +376,11 @@ mod tests {
                 policy: SchedulePolicy::CriticalPath,
                 ..PoolConfig::default()
             },
+            None,
+            None,
+            None,
         )
+        .map(|(state, _)| state)
         .unwrap();
         assert_eq!(fifo.tiles().to_matrix(), cp.tiles().to_matrix());
         assert_eq!(fifo.r_matrix(), cp.r_matrix());
@@ -1133,7 +428,7 @@ mod tests {
         let a = random_matrix::<f64>(32, 8, 5);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build(8, 2, EliminationOrder::BinaryTt);
-        let st = parallel_factor(
+        let st = run_dag(
             FactorState::new(tiled),
             &g,
             PoolConfig {
@@ -1141,7 +436,11 @@ mod tests {
                 policy: SchedulePolicy::CriticalPath,
                 ..PoolConfig::default()
             },
+            None,
+            None,
+            None,
         )
+        .map(|(state, _)| state)
         .unwrap();
         let (pm, _) = st.tiles().padded_dims();
         let mut q = Matrix::identity(pm);
@@ -1156,7 +455,7 @@ mod tests {
         let a = random_matrix::<f64>(32, 32, 5);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build(8, 8, EliminationOrder::FlatTs);
-        let (_, report) = super::parallel_factor_traced(
+        let (_, report) = run_dag(
             FactorState::new(tiled),
             &g,
             PoolConfig {
@@ -1164,6 +463,9 @@ mod tests {
                 policy: SchedulePolicy::CriticalPath,
                 ..PoolConfig::default()
             },
+            None,
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(report.total_tasks() as usize, g.len());
@@ -1196,14 +498,16 @@ mod tests {
             DispatchOrder::Seeded(7),
         ] {
             for workers in [1usize, 3] {
-                let (st, report) = super::parallel_factor_ordered(
+                let (st, report) = run_dag(
                     FactorState::new(tiled.clone()),
                     &g,
                     PoolConfig {
                         workers,
                         ..PoolConfig::default()
                     },
-                    order,
+                    Some(order),
+                    None,
+                    None,
                 )
                 .unwrap();
                 assert_eq!(
@@ -1228,7 +532,7 @@ mod tests {
         let a = random_matrix::<f64>(24, 24, 8);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build(6, 6, EliminationOrder::FlatTs);
-        let (_, report) = super::parallel_factor_traced(
+        let (_, report) = run_dag(
             FactorState::new(tiled),
             &g,
             PoolConfig {
@@ -1236,6 +540,9 @@ mod tests {
                 trace: TraceConfig::enabled(),
                 ..PoolConfig::default()
             },
+            None,
+            None,
+            None,
         )
         .unwrap();
         let trace = report.trace.as_ref().expect("tracing was enabled");
@@ -1253,13 +560,16 @@ mod tests {
         let a = random_matrix::<f64>(16, 16, 9);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
-        let (_, report) = super::parallel_factor_traced(
+        let (_, report) = run_dag(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers: 2,
                 ..PoolConfig::default()
             },
+            None,
+            None,
+            None,
         )
         .unwrap();
         assert!(report.trace.is_none());
@@ -1300,13 +610,16 @@ mod tests {
             // Freshly-tiled input each run: no external handle may survive,
             // or the first take of each shared tile would count as a COW.
             let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-            let (_, report) = super::parallel_factor_traced(
+            let (_, report) = run_dag(
                 FactorState::new(tiled),
                 &g,
                 PoolConfig {
                     workers,
                     ..PoolConfig::default()
                 },
+                None,
+                None,
+                None,
             )
             .unwrap();
             assert_eq!(report.cow_clones(), 0, "workers={workers}");
@@ -1321,7 +634,7 @@ mod tests {
         let a = random_matrix::<f64>(24, 24, 42);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build(6, 6, EliminationOrder::FlatTs);
-        let (per_worker, _) = super::parallel_factor_traced(
+        let (per_worker, _) = run_dag(
             FactorState::new(tiled.clone()),
             &g,
             PoolConfig {
@@ -1329,9 +642,12 @@ mod tests {
                 workspace: WorkspacePolicy::PerWorker,
                 ..PoolConfig::default()
             },
+            None,
+            None,
+            None,
         )
         .unwrap();
-        let (per_call, report) = super::parallel_factor_traced(
+        let (per_call, report) = run_dag(
             FactorState::new(tiled),
             &g,
             PoolConfig {
@@ -1339,6 +655,9 @@ mod tests {
                 workspace: WorkspacePolicy::PerCall,
                 ..PoolConfig::default()
             },
+            None,
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(per_worker.tiles().to_matrix(), per_call.tiles().to_matrix());
@@ -1354,13 +673,14 @@ mod tests {
         let a = random_matrix::<f64>(16, 16, 43);
         let (tiled, g, seq_tiles) = sequential_tiles(&a, 4);
         let faults = ScriptedFaults::new().panic_on(2, 1).fail_on(5, 1);
-        let (st, report) = parallel_factor_ft(
+        let (st, report) = run_dag(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers: 3,
                 ..PoolConfig::default()
             },
+            None,
             Some(FaultTolerance::default()),
             Some(&faults),
         )
@@ -1379,13 +699,14 @@ mod tests {
         // the task is requeued, and the run completes on the survivors.
         let victim = g.len() / 2;
         let faults = ScriptedFaults::new().panic_on(victim, 1);
-        let (st, report) = parallel_factor_ft(
+        let (st, report) = run_dag(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers: 3,
                 ..PoolConfig::default()
             },
+            None,
             Some(FaultTolerance::default()),
             Some(&faults),
         )
@@ -1402,13 +723,14 @@ mod tests {
         let a = random_matrix::<f64>(16, 16, 32);
         let (tiled, g, seq_tiles) = sequential_tiles(&a, 4);
         let faults = ScriptedFaults::new().fail_on(0, 2).fail_on(g.len() - 1, 1);
-        let (st, report) = parallel_factor_ft(
+        let (st, report) = run_dag(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers: 2,
                 ..PoolConfig::default()
             },
+            None,
             Some(FaultTolerance::default()),
             Some(&faults),
         )
@@ -1426,13 +748,14 @@ mod tests {
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
         let faults = ScriptedFaults::new().fail_on(1, 99);
-        let err = parallel_factor_ft(
+        let err = run_dag(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers: 2,
                 ..PoolConfig::default()
             },
+            None,
             Some(FaultTolerance {
                 max_attempts: 2,
                 ..FaultTolerance::default()
@@ -1457,13 +780,14 @@ mod tests {
         // Task 0 panics on every attempt: each try kills one worker, so a
         // 2-worker pool empties before the generous attempt budget does.
         let faults = ScriptedFaults::new().panic_on(0, 99);
-        let err = parallel_factor_ft(
+        let err = run_dag(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers: 2,
                 ..PoolConfig::default()
             },
+            None,
             Some(FaultTolerance {
                 max_attempts: 99,
                 ..FaultTolerance::default()
@@ -1485,13 +809,14 @@ mod tests {
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
         let faults = ScriptedFaults::new().panic_on(2, 1);
-        let err = parallel_factor_ft(
+        let err = run_dag(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers: 3,
                 ..PoolConfig::default()
             },
+            None,
             None,
             Some(&faults),
         )
@@ -1510,13 +835,14 @@ mod tests {
         // retired, the task re-runs elsewhere, and the eventual late
         // result is deduplicated at the commit fence.
         let faults = ScriptedFaults::new().stall_on(1, 1, Duration::from_millis(400));
-        let (st, report) = parallel_factor_ft(
+        let (st, report) = run_dag(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers: 2,
                 ..PoolConfig::default()
             },
+            None,
             Some(FaultTolerance {
                 stall_timeout: Some(Duration::from_millis(50)),
                 ..FaultTolerance::default()

@@ -9,8 +9,8 @@
 //! requeued task always re-reads clean inputs and a late duplicate result
 //! is dropped at the commit fence.
 //!
-//! [`FaultInjector`] is the test seam: the pool consults it before every
-//! attempt, so suites can script panics, transient kernel failures, and
+//! [`FaultInjector`] is the test seam: the manager consults it as it
+//! dispatches every attempt, so suites can script panics, transient kernel failures, and
 //! stalls at exact (task, attempt) coordinates and replay them
 //! deterministically.
 
@@ -77,23 +77,13 @@ pub enum InjectedFault {
     PoisonNan,
 }
 
-/// Test seam consulted by the pool before every task attempt.
+/// Test seam consulted by the manager as it dispatches every task attempt.
 ///
 /// Implementations must be deterministic functions of `(task, attempt)`
 /// for runs to replay; the built-in [`ScriptedFaults`] is.
 pub trait FaultInjector: Sync {
     /// Fault to apply to attempt `attempt` (0-based) of `task`.
     fn before_attempt(&self, task: TaskId, attempt: u32) -> InjectedFault;
-}
-
-/// The no-op injector.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFaults;
-
-impl FaultInjector for NoFaults {
-    fn before_attempt(&self, _task: TaskId, _attempt: u32) -> InjectedFault {
-        InjectedFault::None
-    }
 }
 
 /// Deterministic scripted injector: each task maps to a number of leading
@@ -111,7 +101,7 @@ pub struct ScriptedFaults {
 }
 
 impl ScriptedFaults {
-    /// Empty script (equivalent to [`NoFaults`]).
+    /// Empty script: every attempt runs clean.
     pub fn new() -> Self {
         Self::default()
     }
@@ -142,8 +132,8 @@ impl ScriptedFaults {
         self
     }
 
-    /// Every (task, attempt) pair the pool asked about, in the order the
-    /// workers reached them.
+    /// Every (task, attempt) pair the manager asked about, in dispatch
+    /// order.
     pub fn attempts_seen(&self) -> Vec<(TaskId, u32)> {
         self.seen.lock().expect("injector log").clone()
     }

@@ -340,15 +340,26 @@ impl ReadyTracker {
     /// Record `task` as complete; returns the tasks that just became
     /// ready.
     pub fn complete(&mut self, graph: &TaskGraph, task: TaskId) -> Vec<TaskId> {
-        self.completed += 1;
         let mut newly = Vec::new();
+        self.complete_with(graph, task, |s| newly.push(s));
+        newly
+    }
+
+    /// [`ReadyTracker::complete`] handing each newly ready task to `ready`
+    /// instead of collecting them (no allocation on the hot path).
+    pub fn complete_with(
+        &mut self,
+        graph: &TaskGraph,
+        task: TaskId,
+        mut ready: impl FnMut(TaskId),
+    ) {
+        self.completed += 1;
         for &s in graph.succs(task) {
             self.remaining_preds[s] -= 1;
             if self.remaining_preds[s] == 0 {
-                newly.push(s);
+                ready(s);
             }
         }
-        newly
     }
 
     /// `true` once every task has completed.

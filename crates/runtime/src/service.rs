@@ -1,8 +1,8 @@
 //! `QrService`: a resident multi-matrix throughput service.
 //!
-//! Where [`parallel_factor`](crate::parallel_factor) spins a pool up and
-//! down around one matrix, the service keeps a **long-lived worker pool**
-//! and accepts a *stream* of jobs — factor, least-squares solve, Q-apply —
+//! Where [`run_dag`](crate::run_dag) spins workers up and down around one
+//! matrix, the service keeps a **long-lived worker pool** and accepts a
+//! *stream* of jobs — factor, least-squares solve, Q-apply —
 //! through a submission handle. Tasks from many concurrent job DAGs are
 //! interleaved through one manager-owned ready structure with per-job
 //! **fair-share accounting** (weighted virtual time, one weight per
@@ -27,11 +27,16 @@
 //!   otherwise idle; pending batches compete in the same virtual-time
 //!   order as regular jobs (keyed by their oldest member), so batching
 //!   adds no starvation risk.
-//! * **Execution**: identical to the fault-tolerant pool path —
+//! * **Execution**: each interleaved job is one run of the same engine
+//!   that drives [`run_dag`](crate::run_dag) — its own DAG state machine,
+//!   attempts on the shared worker loop — always with a retry budget, so
 //!   non-destructive staging plus a manager-side commit fence make task
-//!   re-execution idempotent, so the bit-identity guarantee survives DAG
+//!   re-execution idempotent. The bit-identity guarantee survives DAG
 //!   interleaving: every task still writes a disjoint tile set of its own
-//!   job's [`SharedFactorState`].
+//!   job's
+//!   [`SharedFactorState`](tileqr_kernels::exec::SharedFactorState). The
+//!   service adds only what is about many jobs: admission, fair share,
+//!   batching, deadlines, cancellation and respawning workers.
 //! * **Recovery**: a worker panic retires only that thread; the manager
 //!   respawns the slot (the pool never shrinks) and charges the retry to
 //!   the *victim job's* attempt budget alone. Other in-flight jobs are
@@ -60,12 +65,17 @@
 //! Instrumentation flows through the existing `tileqr-obs` types: per-job
 //! task-compute [`LatencyHistogram`]s ride on each [`JobResult`], and
 //! service-wide queue-wait / latency histograms plus queue-depth
-//! high-water marks are readable at any time via [`QrService::stats`].
+//! high-water marks are readable via [`QrService::stats`]. Each job's
+//! counters are kept job-local and published when the job resolves.
 
+use crate::engine::{
+    model_weight, panic_message, Accounting, Halt, JobRun, Outcome, RunParams, Slots, TaskDone,
+    Work,
+};
 use crate::error::RuntimeError;
-use crate::pool::{model_weight, panic_message, RunReport};
-use crate::recovery::{FaultInjector, FaultTolerance, InjectedFault};
-use crate::scheduler::{ReadyQueue, ReadyTracker, SchedulePolicy};
+use crate::pool::RunReport;
+use crate::recovery::{FaultInjector, FaultTolerance};
+use crate::scheduler::{DispatchOrder, SchedulePolicy};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
@@ -76,20 +86,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tileqr_dag::{
-    bottom_levels, class_slot, ClassCosts, CostModel, EliminationOrder, EliminationTree, TaskGraph,
-    TaskId, TaskKind, TreePolicy,
+    CostModel, EliminationOrder, EliminationTree, TaskGraph, TaskId, TaskKind, TreePolicy,
 };
-use tileqr_kernels::exec::{
-    apply_q_dense, apply_qt_dense, CompletedTask, FactorState, SharedFactorState,
-};
+use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState};
 use tileqr_kernels::{Workspace, WorkspacePolicy};
 use tileqr_matrix::{Matrix, MatrixError, Scalar, TiledMatrix};
-use tileqr_obs::{
-    DriftConfig, DriftDetector, HotPathCounters, LatencyHistogram, LifecycleCounters,
-};
+use tileqr_obs::{DriftConfig, HotPathCounters, LatencyHistogram, LifecycleCounters, TraceConfig};
 
-/// Job identifier, unique per service instance (1-based).
-pub type JobId = u64;
+pub use crate::engine::JobId;
 
 /// Scheduling class of a job; determines its fair-share weight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -744,397 +748,219 @@ struct JobMeta<T: Scalar> {
     backlog_at_submit: u64,
     queue_wait: Duration,
     dispatch_delay_tasks: u64,
+    /// Dispatches the job cost, published with its result.
+    dispatched: u64,
     result_tx: ResultTx<T>,
 }
 
-struct NewJob<T: Scalar> {
-    id: JobId,
-    state: FactorState<T>,
+/// What a job delivers once its DAG has run: the task graph, the input's
+/// original shape, and the payload to finish.
+struct Product<T: Scalar> {
     graph: Arc<TaskGraph>,
     rows: usize,
     cols: usize,
-    b: usize,
     payload: Payload<T>,
-    class: PriorityClass,
+}
+
+struct NewJob<T: Scalar> {
+    meta: JobMeta<T>,
+    state: FactorState<T>,
+    product: Product<T>,
+    b: usize,
     cost: CostModel,
     tuning: JobTuning,
     injector: Option<SharedInjector>,
-    submitted: Instant,
-    deadline: Option<Duration>,
-    result_tx: ResultTx<T>,
 }
 
-enum UnitFailure {
-    Numeric(MatrixError),
-    Panicked(String),
-}
-
-enum TaskOutcome<T: Scalar> {
-    Done {
-        completed: Box<CompletedTask<T>>,
-        stage_wait: Duration,
-        compute_ns: u64,
-    },
-    Failed(MatrixError),
-    Panicked(String),
-}
-
-struct TaskDone<T: Scalar> {
-    job: JobId,
-    task: TaskId,
-    worker: usize,
-    outcome: TaskOutcome<T>,
-}
-
-struct BatchItem<T: Scalar> {
-    meta: JobMeta<T>,
-    result: Result<(JobOutput<T>, LatencyHistogram), UnitFailure>,
-    elapsed: Duration,
-    tasks: u64,
-}
-
-struct BatchDone<T: Scalar> {
-    worker: usize,
-    items: Vec<BatchItem<T>>,
-}
-
-struct EpilogueDone<T: Scalar> {
-    job: JobId,
-    worker: usize,
-    result: Result<JobOutput<T>, UnitFailure>,
-}
+/// A job's result on its way out, with the meta that routes it.
+type Delivery<T> = (JobMeta<T>, Result<JobResult<T>, ServiceError>);
 
 enum Msg<T: Scalar> {
     Submit(Box<NewJob<T>>),
-    TaskDone(Box<TaskDone<T>>),
-    BatchDone(BatchDone<T>),
-    EpilogueDone(Box<EpilogueDone<T>>),
+    Task(Box<TaskDone<T>>),
+    /// A batch or epilogue unit finished on `worker`.
+    Unit {
+        worker: usize,
+        results: Vec<Delivery<T>>,
+    },
     Cancel(JobId),
     Drain(mpsc::Sender<()>),
 }
 
-struct BatchUnit<T: Scalar> {
-    meta: JobMeta<T>,
-    state: FactorState<T>,
-    graph: Arc<TaskGraph>,
-    rows: usize,
-    cols: usize,
-    payload: Payload<T>,
+impl<T: Scalar> From<TaskDone<T>> for Msg<T> {
+    fn from(done: TaskDone<T>) -> Self {
+        Msg::Task(Box::new(done))
+    }
 }
 
-struct EpilogueUnit<T: Scalar> {
-    job: JobId,
-    state: FactorState<T>,
-    graph: Arc<TaskGraph>,
-    rows: usize,
-    cols: usize,
-    payload: Payload<T>,
-}
-
-enum Work<T: Scalar> {
-    Task {
-        job: JobId,
-        task: TaskId,
-        kind: TaskKind,
-        attempt: u32,
-        shared: Arc<SharedFactorState<T>>,
-        injector: Option<SharedInjector>,
-    },
-    Batch(Vec<BatchUnit<T>>),
-    Epilogue(Box<EpilogueUnit<T>>),
-}
-
-/// Run the epilogue of a finished DAG: wrap the state into the job's
-/// requested output, replaying the reflectors for solve/apply payloads.
-///
-/// The solve path mirrors `TiledQr::solve` exactly (pad, `Qᵀ b`, back
-/// substitution on the leading `cols` entries) so a service solve is
-/// bit-identical to the single-matrix API.
-fn finish_output<T: Scalar>(
-    state: FactorState<T>,
-    graph: &TaskGraph,
-    rows: usize,
-    cols: usize,
-    payload: Payload<T>,
-) -> Result<JobOutput<T>, MatrixError> {
-    let wrap = |state: FactorState<T>| FactoredJob {
-        state,
-        graph: graph.clone(),
-        rows,
-        cols,
-    };
-    match payload {
-        Payload::Factor => Ok(JobOutput::Factored(wrap(state))),
-        Payload::Solve { rhs } => {
-            let (pm, _) = state.tiles().padded_dims();
-            let bm = Matrix::from_col_major(rows, 1, rhs)?;
-            let mut work = Matrix::zeros(pm, 1);
-            work.set_submatrix(0, 0, &bm)?;
-            apply_qt_dense(&state, graph, &mut work)?;
-            let r_sq = state.r_matrix().submatrix(0, 0, cols, cols)?;
-            let x = tileqr_matrix::ops::solve_upper_triangular(&r_sq, &work.as_slice()[..cols])?;
-            Ok(JobOutput::Solved {
-                x,
-                factor: wrap(state),
-            })
-        }
-        Payload::Apply { c, transpose } => {
-            let (pm, _) = state.tiles().padded_dims();
-            let mut work = Matrix::zeros(pm, c.cols());
-            work.set_submatrix(0, 0, &c)?;
-            if transpose {
+impl<T: Scalar> Product<T> {
+    /// Run the epilogue of a finished DAG: wrap the state into the job's
+    /// requested output, replaying the reflectors for solve/apply
+    /// payloads.
+    ///
+    /// The solve path mirrors `TiledQr::solve` exactly (pad, `Qᵀ b`, back
+    /// substitution on the leading `cols` entries) so a service solve is
+    /// bit-identical to the single-matrix API.
+    fn finish(self, state: FactorState<T>) -> Result<JobOutput<T>, MatrixError> {
+        let Product {
+            graph,
+            rows,
+            cols,
+            payload,
+        } = self;
+        let graph = graph.as_ref();
+        let wrap = |state: FactorState<T>| FactoredJob {
+            state,
+            graph: graph.clone(),
+            rows,
+            cols,
+        };
+        match payload {
+            Payload::Factor => Ok(JobOutput::Factored(wrap(state))),
+            Payload::Solve { rhs } => {
+                let (pm, _) = state.tiles().padded_dims();
+                let bm = Matrix::from_col_major(rows, 1, rhs)?;
+                let mut work = Matrix::zeros(pm, 1);
+                work.set_submatrix(0, 0, &bm)?;
                 apply_qt_dense(&state, graph, &mut work)?;
-            } else {
-                apply_q_dense(&state, graph, &mut work)?;
+                let r_sq = state.r_matrix().submatrix(0, 0, cols, cols)?;
+                let x =
+                    tileqr_matrix::ops::solve_upper_triangular(&r_sq, &work.as_slice()[..cols])?;
+                Ok(JobOutput::Solved {
+                    x,
+                    factor: wrap(state),
+                })
             }
-            let out = work.submatrix(0, 0, rows, c.cols())?;
-            Ok(JobOutput::Applied {
-                c: out,
-                factor: wrap(state),
-            })
+            Payload::Apply { c, transpose } => {
+                let (pm, _) = state.tiles().padded_dims();
+                let mut work = Matrix::zeros(pm, c.cols());
+                work.set_submatrix(0, 0, &c)?;
+                if transpose {
+                    apply_qt_dense(&state, graph, &mut work)?;
+                } else {
+                    apply_q_dense(&state, graph, &mut work)?;
+                }
+                let out = work.submatrix(0, 0, rows, c.cols())?;
+                Ok(JobOutput::Applied {
+                    c: out,
+                    factor: wrap(state),
+                })
+            }
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// worker thread
-// ---------------------------------------------------------------------------
-
-fn worker_loop<T: Scalar>(
-    worker_id: usize,
-    rx: mpsc::Receiver<Work<T>>,
-    tx: mpsc::Sender<Msg<T>>,
-    per_worker_ws: bool,
-) {
-    // One arena per resident thread, grown on demand to the largest
-    // (b, ib) the worker has seen — steady state allocates nothing.
-    let mut ws = Workspace::<T>::minimal();
-    while let Ok(work) = rx.recv() {
-        match work {
-            Work::Task {
-                job,
-                task,
-                kind,
-                attempt,
-                shared,
-                injector,
-            } => {
-                let ws_ref = &mut ws;
-                let result = catch_unwind(AssertUnwindSafe(
-                    || -> Result<(Box<CompletedTask<T>>, Duration, u64), MatrixError> {
-                        let fault = injector
-                            .as_deref()
-                            .map_or(InjectedFault::None, |f| f.before_attempt(task, attempt));
-                        match fault {
-                            InjectedFault::None | InjectedFault::PoisonNan => {}
-                            InjectedFault::Panic => {
-                                panic!("injected panic: task {task} attempt {attempt}")
-                            }
-                            InjectedFault::TransientError => {
-                                return Err(MatrixError::Runtime {
-                                    reason: format!(
-                                        "injected transient failure: task {task} attempt {attempt}"
-                                    ),
-                                })
-                            }
-                            InjectedFault::Stall(d) => std::thread::sleep(d),
-                        }
-                        let t0 = Instant::now();
-                        let staged = shared.stage_preserving(kind)?;
-                        let t1 = Instant::now();
-                        let mut done = if per_worker_ws {
-                            staged.compute_with(ws_ref)?
-                        } else {
-                            staged.compute()?
-                        };
-                        if fault == InjectedFault::PoisonNan {
-                            // NaN-corrupt the output *after* the kernel ran,
-                            // exercising the manager's commit-fence scan.
-                            done.poison();
-                        }
-                        Ok((
-                            Box::new(done),
-                            t1.duration_since(t0),
-                            t1.elapsed().as_nanos() as u64,
-                        ))
-                    },
-                ));
-                // Drop the state handle *before* reporting: when the
-                // manager sees the job's last completion it can then
-                // reclaim unique ownership immediately.
-                drop(shared);
-                let (outcome, retire) = match result {
-                    Ok(Ok((completed, stage_wait, compute_ns))) => (
-                        TaskOutcome::Done {
-                            completed,
-                            stage_wait,
-                            compute_ns,
-                        },
-                        false,
-                    ),
-                    Ok(Err(e)) => (TaskOutcome::Failed(e), false),
-                    Err(payload) => (TaskOutcome::Panicked(panic_message(payload.as_ref())), true),
-                };
-                let gone = tx
-                    .send(Msg::TaskDone(Box::new(TaskDone {
-                        job,
-                        task,
-                        worker: worker_id,
-                        outcome,
-                    })))
-                    .is_err();
-                if gone || retire {
-                    break;
-                }
-            }
-            Work::Batch(units) => {
-                let mut items = Vec::with_capacity(units.len());
-                for unit in units {
-                    let BatchUnit {
-                        meta,
-                        mut state,
-                        graph,
-                        rows,
-                        cols,
-                        payload,
-                    } = unit;
-                    let tasks = graph.len() as u64;
-                    let t0 = Instant::now();
-                    let graph_ref = &graph;
-                    let run = catch_unwind(AssertUnwindSafe(
-                        move || -> Result<(JobOutput<T>, LatencyHistogram), MatrixError> {
-                            let mut hist = LatencyHistogram::new();
-                            for tid in 0..graph_ref.len() {
-                                let k0 = Instant::now();
-                                state.execute(graph_ref.task(tid))?;
-                                hist.record_ns(k0.elapsed().as_nanos() as u64);
-                            }
-                            let out = finish_output(state, graph_ref, rows, cols, payload)?;
-                            Ok((out, hist))
-                        },
-                    ));
-                    let result = match run {
-                        Ok(Ok(v)) => Ok(v),
-                        Ok(Err(e)) => Err(UnitFailure::Numeric(e)),
-                        Err(payload) => Err(UnitFailure::Panicked(panic_message(payload.as_ref()))),
-                    };
-                    items.push(BatchItem {
-                        meta,
-                        result,
-                        elapsed: t0.elapsed(),
-                        tasks,
-                    });
-                }
-                if tx
-                    .send(Msg::BatchDone(BatchDone {
-                        worker: worker_id,
-                        items,
-                    }))
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            Work::Epilogue(unit) => {
-                let EpilogueUnit {
-                    job,
-                    state,
-                    graph,
-                    rows,
-                    cols,
-                    payload,
-                } = *unit;
-                let graph_ref = &graph;
-                let run = catch_unwind(AssertUnwindSafe(move || {
-                    finish_output(state, graph_ref, rows, cols, payload)
-                }));
-                let result = match run {
-                    Ok(Ok(v)) => Ok(v),
-                    Ok(Err(e)) => Err(UnitFailure::Numeric(e)),
-                    Err(payload) => Err(UnitFailure::Panicked(panic_message(payload.as_ref()))),
-                };
-                if tx
-                    .send(Msg::EpilogueDone(Box::new(EpilogueDone {
-                        job,
-                        worker: worker_id,
-                        result,
-                    })))
-                    .is_err()
-                {
-                    break;
-                }
-            }
-        }
+/// Assemble a finished job's result.
+fn job_result<T: Scalar>(
+    meta: &JobMeta<T>,
+    output: JobOutput<T>,
+    report: RunReport,
+    acct: Accounting,
+    batched: bool,
+) -> JobResult<T> {
+    JobResult {
+        job: meta.id,
+        class: meta.class,
+        output,
+        report,
+        queue_wait: meta.queue_wait,
+        latency: meta.submitted.elapsed(),
+        dispatch_delay_tasks: meta.dispatch_delay_tasks,
+        backlog_at_submit: meta.backlog_at_submit,
+        batched,
+        task_latency: acct.task_latency,
+        class_compute_us: acct.class_compute_us,
+        class_tasks: acct.class_tasks,
     }
+}
+
+/// A unit's outcome: a numeric error or a panic fails only its own job.
+fn unit_result<V>(
+    run: std::thread::Result<Result<V, MatrixError>>,
+    worker: usize,
+) -> Result<V, ServiceError> {
+    match run {
+        Ok(r) => r.map_err(ServiceError::Numeric),
+        Err(payload) => Err(ServiceError::Runtime(RuntimeError::TaskPanicked {
+            task: 0,
+            worker,
+            message: panic_message(payload.as_ref()),
+        })),
+    }
+}
+
+/// Run a batch of small jobs on one worker, each whole and in program
+/// order: per-task dispatch overhead dominates at that size.
+fn run_batch<T: Scalar>(
+    units: Vec<SmallJob<T>>,
+    worker: usize,
+    workers: usize,
+    policy: SchedulePolicy,
+) -> Msg<T> {
+    let results = units
+        .into_iter()
+        .map(|unit| {
+            let SmallJob {
+                meta,
+                mut state,
+                product,
+                ..
+            } = unit;
+            let tasks = product.graph.len() as u64;
+            let t0 = Instant::now();
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                let mut acct = Accounting::default();
+                for &task in product.graph.tasks() {
+                    let k0 = Instant::now();
+                    state.execute(task)?;
+                    acct.task_latency.record_ns(k0.elapsed().as_nanos() as u64);
+                }
+                Ok((product.finish(state)?, acct))
+            }));
+            let result = unit_result(run, worker).map(|(output, acct)| {
+                let mut tasks_per_worker = vec![0; workers];
+                tasks_per_worker[worker] = tasks;
+                let counters = HotPathCounters {
+                    cow_clones: output.factor().state.cow_clones(),
+                    ..HotPathCounters::default()
+                };
+                let report = RunReport {
+                    tasks_per_worker,
+                    elapsed: t0.elapsed(),
+                    policy,
+                    counters,
+                    ..RunReport::default()
+                };
+                job_result(&meta, output, report, acct, true)
+            });
+            (meta, result)
+        })
+        .collect();
+    Msg::Unit { worker, results }
 }
 
 // ---------------------------------------------------------------------------
 // manager
 // ---------------------------------------------------------------------------
 
-enum InFlight {
-    Task {
-        job: JobId,
-        task: TaskId,
-        /// Dispatch time, read by the stall watchdog.
-        since: Instant,
-    },
-    /// Batch or epilogue unit — outside watchdog jurisdiction (composite
-    /// units have no per-task retry identity to requeue).
-    Other,
-}
-
-struct JobState<T: Scalar> {
+/// A job interleaved task by task: its run on the engine plus the
+/// service's bookkeeping around it.
+struct Job<T: Scalar> {
     meta: JobMeta<T>,
-    shared: Option<Arc<SharedFactorState<T>>>,
-    graph: Arc<TaskGraph>,
-    rows: usize,
-    cols: usize,
-    b: usize,
-    payload: Option<Payload<T>>,
+    product: Product<T>,
     weight: f64,
     cost: CostModel,
-    /// Armed iff drift detection is on and the job has calibrated costs:
-    /// the detector plus the *original* calibration its ratios scale.
-    drift: Option<(DriftDetector, ClassCosts)>,
-    drift_panel: usize,
-    drift_reweights: u64,
-    class_compute_us: [f64; 3],
-    class_tasks: [u64; 3],
+    b: usize,
     vtime: f64,
-    tracker: ReadyTracker,
-    ready: ReadyQueue,
-    committed: Vec<bool>,
-    attempts: Vec<u32>,
-    in_flight: usize,
-    /// Set by [`Msg::Cancel`]: stop dispatching, drain in-flight work,
-    /// then resolve with [`ServiceError::Cancelled`].
-    cancelled: bool,
     injector: Option<SharedInjector>,
-    started: Option<Instant>,
-    tasks_per_worker: Vec<u64>,
-    stage_wait: Duration,
-    commit_wait: Duration,
-    retries: u64,
-    requeues: u64,
-    worker_deaths: u64,
-    task_latency: LatencyHistogram,
-    report: Option<RunReport>,
+    run: JobRun<T>,
 }
 
-impl<T: Scalar> JobState<T> {
-    fn pending_work(&self) -> bool {
-        !self.tracker.all_done()
-    }
-}
-
+/// A job small enough to run whole inside a batch.
 struct SmallJob<T: Scalar> {
     meta: JobMeta<T>,
     state: FactorState<T>,
-    graph: Arc<TaskGraph>,
-    rows: usize,
-    cols: usize,
-    payload: Payload<T>,
+    product: Product<T>,
     vtime: f64,
 }
 
@@ -1143,30 +969,27 @@ struct PendingBatch<T: Scalar> {
     vtime: f64,
 }
 
-struct WorkerSlot<T: Scalar> {
-    tx: mpsc::Sender<Work<T>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-struct Manager<T: Scalar> {
+struct Manager<'s, 'e, T: Scalar> {
     cfg: ServiceConfig,
     workers: usize,
     rx: mpsc::Receiver<Msg<T>>,
-    msg_tx: mpsc::Sender<Msg<T>>,
-    slots: Vec<WorkerSlot<T>>,
-    graveyard: Vec<JoinHandle<()>>,
-    idle: Vec<usize>,
-    in_flight_of: Vec<Option<InFlight>>,
-    jobs: HashMap<JobId, JobState<T>>,
+    slots: Slots<'s, 'e, T, Msg<T>>,
+    jobs: HashMap<JobId, Job<T>>,
     smalls: VecDeque<SmallJob<T>>,
     batches: VecDeque<PendingBatch<T>>,
-    batch_in_flight: usize,
-    epi_queue: VecDeque<Work<T>>,
+    /// Batches and epilogues waiting for a worker; served first.
+    units: VecDeque<Work<T, Msg<T>>>,
+    units_in_flight: usize,
+    /// Completed jobs whose state a retired worker's late attempt still
+    /// holds; retried whenever a message arrives.
     finalize_pending: Vec<JobId>,
-    parked: BinaryHeap<Reverse<(Instant, JobId, TaskId)>>,
+    /// When jobs with parked retries are due, and when queued jobs'
+    /// deadlines expire.
+    timers: BinaryHeap<Reverse<(Instant, JobId)>>,
     vclock: f64,
     dispatch_count: u64,
-    draining: bool,
+    max_depth: usize,
+    /// Set by [`Msg::Drain`]: stop once every job has resolved.
     drain_ack: Option<mpsc::Sender<()>>,
     gate: Arc<Gate>,
     metrics: Arc<Mutex<ServiceStats>>,
@@ -1180,140 +1003,40 @@ fn task_cost(cost: CostModel, b: usize, kind: TaskKind) -> f64 {
     (model_weight(cost, b)(kind) / 1.0e6).max(1.0e-9)
 }
 
-/// Panel-factor kinds are the poison chokepoint: every downstream update
-/// consumes their tiles or T factors, so scanning them at the commit
-/// fence catches a NaN/Inf before it spreads beyond one tile column.
-fn is_panel_factor(kind: TaskKind) -> bool {
-    matches!(
-        kind,
-        TaskKind::Geqrt { .. } | TaskKind::Tsqrt { .. } | TaskKind::Ttqrt { .. }
-    )
-}
-
-impl<T: Scalar> Manager<T> {
-    fn new(
-        cfg: ServiceConfig,
-        workers: usize,
-        rx: mpsc::Receiver<Msg<T>>,
-        msg_tx: mpsc::Sender<Msg<T>>,
-        gate: Arc<Gate>,
-        metrics: Arc<Mutex<ServiceStats>>,
-    ) -> Self {
-        let mut mgr = Manager {
-            cfg,
-            workers,
-            rx,
-            msg_tx,
-            slots: Vec::with_capacity(workers),
-            graveyard: Vec::new(),
-            idle: (0..workers).rev().collect(),
-            in_flight_of: (0..workers).map(|_| None).collect(),
-            jobs: HashMap::new(),
-            smalls: VecDeque::new(),
-            batches: VecDeque::new(),
-            batch_in_flight: 0,
-            epi_queue: VecDeque::new(),
-            finalize_pending: Vec::new(),
-            parked: BinaryHeap::new(),
-            vclock: 0.0,
-            dispatch_count: 0,
-            draining: false,
-            drain_ack: None,
-            gate,
-            metrics,
-        };
-        for w in 0..workers {
-            let slot = mgr.spawn_worker(w);
-            mgr.slots.push(slot);
-        }
-        mgr
-    }
-
-    fn spawn_worker(&self, id: usize) -> WorkerSlot<T> {
-        let (tx, rx) = mpsc::channel::<Work<T>>();
-        let msg_tx = self.msg_tx.clone();
-        let per_worker = self.cfg.workspace == WorkspacePolicy::PerWorker;
-        let handle = std::thread::Builder::new()
-            .name(format!("qr-service-worker-{id}"))
-            .spawn(move || worker_loop(id, rx, msg_tx, per_worker))
-            .expect("spawn service worker");
-        WorkerSlot {
-            tx,
-            handle: Some(handle),
-        }
-    }
-
-    /// Replace a retired worker thread so the pool never shrinks.
-    fn respawn(&mut self, w: usize) {
-        let mut slot = self.spawn_worker(w);
-        std::mem::swap(&mut self.slots[w], &mut slot);
-        if let Some(h) = slot.handle.take() {
-            self.graveyard.push(h);
-        }
-        self.in_flight_of[w] = None;
-        if !self.idle.contains(&w) {
-            self.idle.push(w);
-        }
-    }
-
+impl<'s, 'e, T: Scalar> Manager<'s, 'e, T> {
     /// Virtual time a newly admitted job starts at: the minimum over the
     /// current backlog, so no new arrival is ordered behind work that
     /// came after it and no idle period inflates anyone's credit.
     fn arrival_vtime(&self) -> f64 {
-        let mut v = f64::INFINITY;
-        for j in self.jobs.values() {
-            if j.pending_work() {
-                v = v.min(j.vtime);
-            }
-        }
-        for s in &self.smalls {
-            v = v.min(s.vtime);
-        }
-        for b in &self.batches {
-            v = v.min(b.vtime);
-        }
-        if v.is_finite() {
-            v
-        } else {
-            self.vclock
-        }
+        let jobs = self.jobs.values().filter(|j| !j.run.is_complete());
+        let smalls = self.smalls.iter().map(|s| s.vtime);
+        let batches = self.batches.iter().map(|b| b.vtime);
+        jobs.map(|j| j.vtime)
+            .chain(smalls)
+            .chain(batches)
+            .min_by(f64::total_cmp)
+            .unwrap_or(self.vclock)
     }
 
     fn backlog_size(&self) -> u64 {
-        let active = self.jobs.values().filter(|j| j.pending_work()).count();
+        let active = self.jobs.values().filter(|j| !j.run.is_complete()).count();
         (active + self.smalls.len() + self.batches.iter().map(|b| b.units.len()).sum::<usize>())
             as u64
     }
 
     fn handle_submit(&mut self, nj: NewJob<T>) {
         let NewJob {
-            id,
+            mut meta,
             state,
-            graph,
-            rows,
-            cols,
+            product,
             b,
-            payload,
-            class,
             cost,
             tuning,
             injector,
-            submitted,
-            deadline,
-            result_tx,
         } = nj;
-        let backlog = self.backlog_size();
-        let meta = JobMeta {
-            id,
-            class,
-            submitted,
-            deadline: deadline.map(|d| submitted + d),
-            submit_dispatch_count: self.dispatch_count,
-            backlog_at_submit: backlog,
-            queue_wait: Duration::ZERO,
-            dispatch_delay_tasks: 0,
-            result_tx,
-        };
+        let id = meta.id;
+        meta.submit_dispatch_count = self.dispatch_count;
+        meta.backlog_at_submit = self.backlog_size();
         let vtime = self.arrival_vtime();
         {
             let mut m = self.metrics.lock().unwrap();
@@ -1325,24 +1048,25 @@ impl<T: Scalar> Manager<T> {
                 JobTuning::Tuned => m.tuned_jobs += 1,
             }
         }
-        // Admission-time shed: the deadline may already be unmeetable —
-        // typically because `submit` blocked on a saturated gate while it
-        // burned away. Reject before the job costs any scheduling state.
-        if Self::meta_expired(&meta, Instant::now()) {
-            self.shed_meta(meta);
-            return;
+        if let Some(at) = meta.deadline {
+            // Admission-time shed: the deadline may already be unmeetable —
+            // typically because `submit` blocked on a saturated gate while
+            // it burned away. Reject before the job costs any scheduling
+            // state.
+            if Instant::now() >= at {
+                self.shed(meta);
+                return;
+            }
+            self.timers.push(Reverse((at, id)));
         }
         let batchable = self.cfg.batching_enabled()
-            && graph.len() <= self.cfg.batch_max_tasks
+            && product.graph.len() <= self.cfg.batch_max_tasks
             && injector.is_none();
         if batchable {
             self.smalls.push_back(SmallJob {
                 meta,
                 state,
-                graph,
-                rows,
-                cols,
-                payload,
+                product,
                 vtime,
             });
             if self.smalls.len() >= self.cfg.batch_max_jobs {
@@ -1350,58 +1074,28 @@ impl<T: Scalar> Manager<T> {
             }
             return;
         }
-        let total = graph.len();
-        let tracker = ReadyTracker::new(&graph);
-        let mut ready = ReadyQueue::for_policy(self.cfg.policy, &graph, model_weight(cost, b));
-        for t in tracker.initial_ready(&graph) {
-            ready.push(t);
-        }
-        let drift = self
-            .cfg
-            .drift
-            .enabled
-            .then(|| cost.class_costs())
-            .flatten()
-            .map(|base| {
-                (
-                    DriftDetector::new(self.cfg.drift, base.expected_us(b)),
-                    base,
-                )
-            });
-        let job = JobState {
-            meta,
-            shared: Some(Arc::new(SharedFactorState::new(state))),
-            graph,
-            rows,
-            cols,
-            b,
-            payload: Some(payload),
-            weight: class.weight(),
+        let params = RunParams {
+            workers: self.workers,
+            order: DispatchOrder::Policy(self.cfg.policy),
             cost,
-            drift,
-            drift_panel: 0,
-            drift_reweights: 0,
-            class_compute_us: [0.0; 3],
-            class_tasks: [0; 3],
+            drift: self.cfg.drift,
+            ft: Some(self.cfg.fault_tolerance),
+            poison_fence: true,
+            trace: TraceConfig::default(),
+        };
+        let run = JobRun::new(state, &product.graph, &params, meta.submitted);
+        let job = Job {
+            weight: meta.class.weight(),
+            meta,
+            product,
+            cost,
+            b,
             vtime,
-            tracker,
-            ready,
-            committed: vec![false; total],
-            attempts: vec![0u32; total],
-            in_flight: 0,
-            cancelled: false,
             injector,
-            started: None,
-            tasks_per_worker: vec![0u64; self.workers],
-            stage_wait: Duration::ZERO,
-            commit_wait: Duration::ZERO,
-            retries: 0,
-            requeues: 0,
-            worker_deaths: 0,
-            task_latency: LatencyHistogram::new(),
-            report: None,
+            run,
         };
         self.jobs.insert(id, job);
+        self.settle(id);
     }
 
     fn flush_smalls(&mut self) {
@@ -1413,664 +1107,231 @@ impl<T: Scalar> Manager<T> {
         self.batches.push_back(PendingBatch { units, vtime });
     }
 
-    /// Move due parked retries back into their job's ready set.
-    fn wake_parked(&mut self) {
-        let now = Instant::now();
-        while let Some(Reverse((deadline, job, task))) = self.parked.peek().copied() {
-            if deadline > now {
+    /// Fire due timers. A started job's timer returns its parked retries
+    /// to the ready set; a queued job's timer is its deadline, so the job
+    /// is shed. A job counts as queued until its first task (or batch)
+    /// dispatches; after that it runs to completion — a deadline bounds
+    /// *waiting*, not execution.
+    fn fire_timers(&mut self, now: Instant) {
+        while let Some(&Reverse((at, id))) = self.timers.peek() {
+            if at > now {
                 break;
             }
-            self.parked.pop();
-            if let Some(j) = self.jobs.get_mut(&job) {
-                if !j.committed[task] {
-                    j.ready.push(task);
+            self.timers.pop();
+            match self.jobs.get_mut(&id) {
+                Some(job) if job.run.started.is_some() => {
+                    job.run.wake();
+                    if let Some(next) = job.run.next_wake() {
+                        self.timers.push(Reverse((next, id)));
+                    }
+                }
+                _ => {
+                    if let Some(meta) = self.take_queued(id) {
+                        self.shed(meta);
+                    }
                 }
             }
         }
     }
 
-    /// Whether a queued job's deadline has expired.
-    fn meta_expired(meta: &JobMeta<T>, now: Instant) -> bool {
-        meta.deadline.is_some_and(|d| now >= d)
-    }
-
-    /// Shed one queued job past its deadline: resolve the handle with
-    /// [`ServiceError::DeadlineExceeded`] and release the admission slot.
-    fn shed_meta(&mut self, meta: JobMeta<T>) {
-        let now = Instant::now();
+    /// Resolve a queued job past its deadline with
+    /// [`ServiceError::DeadlineExceeded`].
+    fn shed(&mut self, meta: JobMeta<T>) {
         let deadline = meta.deadline.expect("only deadline-bearing jobs shed");
         let err = ServiceError::DeadlineExceeded {
             deadline: deadline.duration_since(meta.submitted),
-            late_by: now.saturating_duration_since(deadline),
+            late_by: Instant::now().saturating_duration_since(deadline),
         };
-        // Release before resolving the handle so a waiter that sees the
-        // error can immediately reuse the admission slot.
-        self.gate.release();
-        let _ = meta.result_tx.send(Err(err));
-        let mut m = self.metrics.lock().unwrap();
-        m.jobs_failed += 1;
-        m.lifecycle.jobs_shed += 1;
+        self.resolve(meta, Err(err));
     }
 
-    /// Resolve one queued (never-dispatched) job as cancelled.
-    fn cancel_meta(&mut self, meta: JobMeta<T>) {
-        self.gate.release();
-        let _ = meta.result_tx.send(Err(ServiceError::Cancelled));
-        let mut m = self.metrics.lock().unwrap();
-        m.jobs_failed += 1;
-        m.lifecycle.jobs_cancelled += 1;
-    }
-
-    /// Earliest deadline among still-queued jobs (bounds the run loop's
-    /// recv timeout so sheds fire without needing message traffic).
-    fn earliest_queued_deadline(&self) -> Option<Instant> {
-        let dag = self
-            .jobs
-            .values()
-            .filter(|j| j.started.is_none() && !j.cancelled)
-            .filter_map(|j| j.meta.deadline);
-        let small = self.smalls.iter().filter_map(|s| s.meta.deadline);
-        let batched = self
-            .batches
-            .iter()
-            .flat_map(|b| b.units.iter())
-            .filter_map(|u| u.meta.deadline);
-        dag.chain(small).chain(batched).min()
-    }
-
-    /// Shed every queued job whose deadline has passed. A job counts as
-    /// queued until its first task (or batch) dispatches; after that it
-    /// runs to completion — a deadline bounds *waiting*, not execution.
-    fn sweep_shed(&mut self) {
-        let now = Instant::now();
-        let expired: Vec<JobId> = self
-            .jobs
-            .iter()
-            .filter(|(_, j)| {
-                j.started.is_none() && !j.cancelled && Self::meta_expired(&j.meta, now)
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        for id in expired {
-            if let Some(job) = self.jobs.remove(&id) {
-                self.shed_meta(job.meta);
-            }
+    /// Remove a job that has not dispatched yet, wherever it waits.
+    fn take_queued(&mut self, id: JobId) -> Option<JobMeta<T>> {
+        if self.jobs.get(&id).is_some_and(|j| j.run.started.is_none()) {
+            return self.jobs.remove(&id).map(|j| j.meta);
         }
-        // Shedding needs the meta by value (to resolve its channel), so
-        // rebuild the small/batch queues rather than `retain` in place.
-        let expired_queued = self
-            .smalls
-            .iter()
-            .map(|s| &s.meta)
-            .chain(
-                self.batches
-                    .iter()
-                    .flat_map(|b| b.units.iter().map(|u| &u.meta)),
-            )
-            .any(|m| Self::meta_expired(m, now));
-        if expired_queued {
-            let smalls = std::mem::take(&mut self.smalls);
-            for s in smalls {
-                if Self::meta_expired(&s.meta, now) {
-                    self.shed_meta(s.meta);
-                } else {
-                    self.smalls.push_back(s);
-                }
-            }
-            let batches = std::mem::take(&mut self.batches);
-            for mut b in batches {
-                let units = std::mem::take(&mut b.units);
-                for u in units {
-                    if Self::meta_expired(&u.meta, now) {
-                        self.shed_meta(u.meta);
-                    } else {
-                        b.units.push(u);
-                    }
-                }
-                if !b.units.is_empty() {
-                    self.batches.push_back(b);
-                }
-            }
-        }
-    }
-
-    /// Earliest instant at which a live worker's in-flight task crosses
-    /// the stall bound (None when the watchdog is disabled or idle).
-    fn earliest_stall_expiry(&self) -> Option<Instant> {
-        let bound = self.cfg.fault_tolerance.stall_timeout?;
-        self.in_flight_of
-            .iter()
-            .filter_map(|f| match f {
-                Some(InFlight::Task { since, .. }) => Some(*since + bound),
-                _ => None,
-            })
-            .min()
-    }
-
-    /// Stall watchdog: retire any worker whose in-flight task has aged
-    /// past `stall_timeout`, respawn the slot (the pool never shrinks),
-    /// and requeue the task exactly once through the normal retry path.
-    /// The stalled thread's eventual late result (if it ever wakes) is
-    /// deduplicated at the commit fence like any other stale attempt.
-    fn sweep_watchdog(&mut self) {
-        let Some(bound) = self.cfg.fault_tolerance.stall_timeout else {
-            return;
-        };
-        let now = Instant::now();
-        let stalled: Vec<(usize, JobId, TaskId)> = self
-            .in_flight_of
-            .iter()
-            .enumerate()
-            .filter_map(|(w, f)| match f {
-                Some(InFlight::Task { job, task, since })
-                    if now.saturating_duration_since(*since) >= bound =>
-                {
-                    Some((w, *job, *task))
-                }
-                _ => None,
-            })
-            .collect();
-        for (w, id, task) in stalled {
-            self.respawn(w);
-            self.metrics.lock().unwrap().lifecycle.watchdog_retirements += 1;
-            let mut requeue = false;
-            let mut drained_cancel = false;
-            if let Some(job) = self.jobs.get_mut(&id) {
-                job.in_flight = job.in_flight.saturating_sub(1);
-                job.worker_deaths += 1;
-                if job.cancelled {
-                    drained_cancel = job.in_flight == 0 && !job.tracker.all_done();
-                } else if !job.committed[task] {
-                    job.requeues += 1;
-                    requeue = true;
-                }
-            }
-            if requeue {
-                self.retry_or_fail(
-                    id,
-                    task,
-                    MatrixError::Runtime {
-                        reason: format!("worker {w} stalled past {bound:?}"),
-                    },
-                );
-            }
-            if drained_cancel {
-                self.cancel_finish(id);
-            }
-        }
-    }
-
-    /// Resolve a cancelled DAG job whose in-flight work has drained.
-    fn cancel_finish(&mut self, id: JobId) {
-        let Some(job) = self.jobs.remove(&id) else {
-            return;
-        };
-        self.gate.release();
-        let _ = job.meta.result_tx.send(Err(ServiceError::Cancelled));
-        let mut m = self.metrics.lock().unwrap();
-        m.jobs_failed += 1;
-        m.lifecycle.jobs_cancelled += 1;
-    }
-
-    fn handle_cancel(&mut self, id: JobId) {
-        // Still waiting in the small-job queue: resolve immediately.
         if let Some(pos) = self.smalls.iter().position(|s| s.meta.id == id) {
-            let small = self.smalls.remove(pos).expect("position just found");
-            self.cancel_meta(small.meta);
-            return;
+            return self.smalls.remove(pos).map(|s| s.meta);
         }
-        // Queued inside a pending (undispatched) batch: pull the unit out.
-        let found = self.batches.iter().enumerate().find_map(|(bi, b)| {
+        let (bi, ui) = self.batches.iter().enumerate().find_map(|(bi, b)| {
             b.units
                 .iter()
                 .position(|u| u.meta.id == id)
                 .map(|ui| (bi, ui))
-        });
-        if let Some((bi, ui)) = found {
-            let unit = self.batches[bi].units.remove(ui);
-            if self.batches[bi].units.is_empty() {
-                self.batches.remove(bi);
-            }
-            self.cancel_meta(unit.meta);
+        })?;
+        let unit = self.batches[bi].units.remove(ui);
+        if self.batches[bi].units.is_empty() {
+            self.batches.remove(bi);
+        }
+        Some(unit.meta)
+    }
+
+    fn handle_cancel(&mut self, id: JobId) {
+        if let Some(meta) = self.take_queued(id) {
+            self.resolve(meta, Err(ServiceError::Cancelled));
             return;
         }
-        // DAG-path job. If its graph already completed, completion wins
-        // (the finalize/epilogue path delivers the normal result); a
-        // batch already on a worker likewise runs to delivery.
-        let Some(job) = self.jobs.get_mut(&id) else {
-            return;
-        };
-        if job.payload.is_none() || job.tracker.all_done() {
-            return;
-        }
-        job.cancelled = true;
-        // Forget queued work; in-flight attempts drain at the fence.
-        if job.in_flight == 0 {
-            self.cancel_finish(id);
+        // A started DAG job stops and drains its in-flight attempts at
+        // the fence. If its graph already completed, completion wins; a
+        // batch or epilogue already on a worker likewise runs to delivery.
+        if let Some(job) = self.jobs.get_mut(&id) {
+            job.run.cancel();
+            self.settle(id);
         }
     }
 
-    /// Try to reclaim unique ownership of completed DAGs and move them to
-    /// their epilogue (or completion). Workers drop their state handles
-    /// before reporting, so this almost always succeeds on the first try;
-    /// a straggler clone (late result from a retired worker) just defers
-    /// the job to the next loop iteration.
-    fn run_finalize(&mut self) {
-        enum Next<T: Scalar> {
-            Defer,
-            Complete(Box<JobOutput<T>>, RunReport),
-            Epilogue(Box<EpilogueUnit<T>>, RunReport),
-        }
-        let pending = std::mem::take(&mut self.finalize_pending);
-        for id in pending {
-            let policy = self.cfg.policy;
-            let next = {
-                let Some(job) = self.jobs.get_mut(&id) else {
-                    continue;
-                };
-                let Some(arc) = job.shared.take() else {
-                    continue;
-                };
-                match Arc::try_unwrap(arc) {
-                    Err(arc) => {
-                        job.shared = Some(arc);
-                        Next::Defer
-                    }
-                    Ok(sh) => {
-                        let state = sh.into_state();
-                        let counters = HotPathCounters {
-                            cow_clones: state.cow_clones(),
-                            ..HotPathCounters::default()
-                        };
-                        let report = RunReport {
-                            tasks_per_worker: job.tasks_per_worker.clone(),
-                            elapsed: job.started.map(|s| s.elapsed()).unwrap_or_default(),
-                            stage_wait: job.stage_wait,
-                            commit_wait: job.commit_wait,
-                            max_ready_depth: job.ready.max_depth(),
-                            policy,
-                            retries: job.retries,
-                            requeues: job.requeues,
-                            worker_deaths: job.worker_deaths,
-                            drift_reweights: job.drift_reweights,
-                            trace: None,
-                            counters,
-                        };
-                        let payload = job.payload.take().expect("payload taken once");
-                        match payload {
-                            Payload::Factor => Next::Complete(
-                                Box::new(JobOutput::Factored(FactoredJob {
-                                    state,
-                                    graph: job.graph.as_ref().clone(),
-                                    rows: job.rows,
-                                    cols: job.cols,
-                                })),
-                                report,
-                            ),
-                            payload => Next::Epilogue(
-                                Box::new(EpilogueUnit {
-                                    job: id,
-                                    state,
-                                    graph: Arc::clone(&job.graph),
-                                    rows: job.rows,
-                                    cols: job.cols,
-                                    payload,
-                                }),
-                                report,
-                            ),
-                        }
-                    }
-                }
-            };
-            match next {
-                Next::Defer => self.finalize_pending.push(id),
-                Next::Complete(output, report) => self.complete_job(id, *output, report, false),
-                Next::Epilogue(unit, report) => {
-                    if let Some(job) = self.jobs.get_mut(&id) {
-                        job.report = Some(report);
-                    }
-                    self.epi_queue.push_back(Work::Epilogue(unit));
-                }
+    /// Stall watchdog: retire any worker whose in-flight task has aged
+    /// past `stall_timeout`, respawn the slot (the pool never shrinks),
+    /// and requeue the task once through the job's retry path. The
+    /// stalled thread's late result, if it ever wakes, meets the commit
+    /// fence like any other stale attempt.
+    fn reap_stalled(&mut self) {
+        let Some(bound) = self.cfg.fault_tolerance.stall_timeout else {
+            return;
+        };
+        for (w, id, task) in self.slots.expire(bound) {
+            self.slots.respawn(w);
+            self.metrics.lock().unwrap().lifecycle.watchdog_retirements += 1;
+            if let Some(job) = self.jobs.get_mut(&id) {
+                job.run.on_stalled(task, w, bound);
+                self.settle(id);
             }
         }
     }
 
-    fn record_done(&mut self, class: PriorityClass, queue_wait: Duration, latency: Duration) {
-        let mut m = self.metrics.lock().unwrap();
-        m.jobs_completed += 1;
-        m.queue_wait.record_ns(queue_wait.as_nanos() as u64);
-        m.latency.record_ns(latency.as_nanos() as u64);
-        m.class_latency[class.index()].record_ns(latency.as_nanos() as u64);
-    }
-
-    /// Deliver a success for a DAG-path job and retire its state.
-    fn complete_job(&mut self, id: JobId, output: JobOutput<T>, report: RunReport, batched: bool) {
-        let Some(job) = self.jobs.remove(&id) else {
+    /// Act on a DAG job's state after an event: deliver it once complete,
+    /// fail it once halted, and resolve a cancel once its attempts drain.
+    fn settle(&mut self, id: JobId) {
+        let Some(job) = self.jobs.get(&id) else {
             return;
         };
-        let queue_wait = job
-            .started
-            .map(|s| s.duration_since(job.meta.submitted))
-            .unwrap_or_default();
-        let latency = job.meta.submitted.elapsed();
-        let result = JobResult {
-            job: id,
-            class: job.meta.class,
-            output,
-            report,
-            queue_wait,
-            latency,
-            dispatch_delay_tasks: job.meta.dispatch_delay_tasks,
-            backlog_at_submit: job.meta.backlog_at_submit,
-            batched,
-            task_latency: job.task_latency,
-            class_compute_us: job.class_compute_us,
-            class_tasks: job.class_tasks,
+        if let Some(at) = job.run.next_wake() {
+            self.timers.push(Reverse((at, id)));
+        }
+        match &job.run.halt {
+            None if job.run.is_complete() => self.finalize(id),
+            None => {}
+            Some(Halt::Cancelled) if job.run.in_flight() > 0 => {}
+            Some(_) => {
+                let Job { mut meta, run, .. } = self.jobs.remove(&id).expect("job present");
+                meta.dispatched = run.acct.dispatched;
+                let err = match run.halt {
+                    Some(Halt::Failed(e)) => ServiceError::Runtime(e),
+                    // Only the victim fails: the NaN was never committed,
+                    // so no other tile (or job) saw it.
+                    Some(Halt::Poisoned { task, tile }) => ServiceError::NumericalBreakdown {
+                        task: Some(task),
+                        tile,
+                    },
+                    _ => ServiceError::Cancelled,
+                };
+                self.resolve(meta, Err(err));
+            }
+        }
+    }
+
+    /// Reclaim a completed job's state and deliver a factor job, or queue
+    /// the epilogue of a solve/apply job.
+    fn finalize(&mut self, id: JobId) {
+        if !self.jobs[&id].run.state_free() {
+            self.finalize_pending.push(id);
+            return;
+        }
+        let Job {
+            mut meta,
+            product,
+            run,
+            ..
+        } = self.jobs.remove(&id).expect("job present");
+        meta.dispatched = run.acct.dispatched;
+        let (state, report, acct) =
+            run.finish(&product.graph, Vec::new(), HotPathCounters::default());
+        let replay = !matches!(product.payload, Payload::Factor);
+        let deliver = move |worker| {
+            let run = catch_unwind(AssertUnwindSafe(|| product.finish(state)));
+            let result = unit_result(run, worker)
+                .map(|output| job_result(&meta, output, report, acct, false));
+            (meta, result)
         };
-        if job.drift_reweights > 0 {
-            self.metrics.lock().unwrap().drift_reweights += job.drift_reweights;
+        if replay {
+            self.units
+                .push_back(Work::Unit(Box::new(move |worker| Msg::Unit {
+                    worker,
+                    results: vec![deliver(worker)],
+                })));
+        } else {
+            let (meta, result) = deliver(0);
+            self.resolve(meta, result);
+        }
+    }
+
+    /// Deliver a job's result and publish its counters.
+    fn resolve(&mut self, meta: JobMeta<T>, result: Result<JobResult<T>, ServiceError>) {
+        {
+            let mut m = self
+                .metrics
+                .lock()
+                .expect("no thread panics holding the stats lock");
+            m.tasks_dispatched += meta.dispatched;
+            m.max_ready_depth = m.max_ready_depth.max(self.max_depth);
+            match &result {
+                Ok(r) => {
+                    m.jobs_completed += 1;
+                    m.queue_wait.record_ns(r.queue_wait.as_nanos() as u64);
+                    m.latency.record_ns(r.latency.as_nanos() as u64);
+                    m.class_latency[r.class.index()].record_ns(r.latency.as_nanos() as u64);
+                    m.drift_reweights += r.report.drift_reweights;
+                }
+                Err(e) => {
+                    m.jobs_failed += 1;
+                    match e {
+                        ServiceError::DeadlineExceeded { .. } => m.lifecycle.jobs_shed += 1,
+                        ServiceError::Cancelled => m.lifecycle.jobs_cancelled += 1,
+                        ServiceError::NumericalBreakdown { .. } => m.lifecycle.poison_detected += 1,
+                        _ => {}
+                    }
+                }
+            }
         }
         // Release before resolving the handle so a waiter that sees the
         // result can immediately reuse the admission slot.
         self.gate.release();
-        let _ = job.meta.result_tx.send(Ok(result));
-        self.record_done(job.meta.class, queue_wait, latency);
+        let _ = meta.result_tx.send(result);
     }
 
-    /// Deliver a failure for a DAG-path job and drop its remaining state.
-    fn fail_job(&mut self, id: JobId, err: ServiceError) {
-        let Some(job) = self.jobs.remove(&id) else {
-            return;
-        };
-        self.gate.release();
-        let _ = job.meta.result_tx.send(Err(err));
-        self.metrics.lock().unwrap().jobs_failed += 1;
-    }
-
-    /// Charge a failed attempt to the job's budget: park a retry or fail
-    /// the job once the budget is spent. Only this job is affected.
-    fn retry_or_fail(&mut self, id: JobId, task: TaskId, last: MatrixError) {
-        let ftc = self.cfg.fault_tolerance;
-        let attempts = match self.jobs.get(&id) {
-            Some(job) => job.attempts[task],
-            None => return,
-        };
-        if attempts >= ftc.max_attempts {
-            self.fail_job(
-                id,
-                ServiceError::Runtime(RuntimeError::RetriesExhausted {
-                    task,
-                    attempts,
-                    last: last.to_string(),
-                }),
-            );
-            return;
+    fn on_task_done(&mut self, done: TaskDone<T>) {
+        // A late report from a watchdog-retired thread is not `expected`:
+        // its slot was already respawned, so it must not touch slot state
+        // or in-flight accounting. Its result still meets the fence.
+        let expected = self.slots.settle(&done);
+        if expected && matches!(done.outcome, Outcome::Panicked(_)) {
+            self.slots.respawn(done.worker);
         }
+        let id = done.job;
         if let Some(job) = self.jobs.get_mut(&id) {
-            job.retries += 1;
+            job.run.on_done(&job.product.graph, done, expected);
+            self.settle(id);
         }
-        let wake = Instant::now() + ftc.backoff(attempts);
-        self.parked.push(Reverse((wake, id, task)));
     }
 
-    fn handle_task_done(&mut self, done: TaskDone<T>) {
-        let TaskDone {
-            job: id,
-            task,
-            worker,
-            outcome,
-        } = done;
-        // Is this the result we dispatched to this worker slot? A late
-        // report from a watchdog-retired thread fails this check: its
-        // slot was already respawned, so it must not touch slot state
-        // (respawning again would kill the healthy replacement) or
-        // in-flight accounting (the watchdog already charged it). A
-        // stale `Done` still gets a shot at the commit fence below —
-        // first result wins, whoever produced it.
-        let expected = matches!(
-            self.in_flight_of[worker],
-            Some(InFlight::Task { job: j, task: t, .. }) if j == id && t == task
-        );
-        if expected {
-            self.in_flight_of[worker] = None;
-            if !matches!(outcome, TaskOutcome::Panicked(_)) {
-                self.idle.push(worker);
-            }
-        }
-        let mut respawn_needed = false;
-        let mut retry_err: Option<MatrixError> = None;
-        let mut poisoned: Option<(usize, usize)> = None;
-        let mut drained_cancel = false;
-        {
-            let Some(job) = self.jobs.get_mut(&id) else {
-                // Job already failed and was removed; drop the late result.
-                if expected && matches!(outcome, TaskOutcome::Panicked(_)) {
-                    self.respawn(worker);
-                }
-                return;
+    /// Pick the backlogged job with the smallest virtual time, and record
+    /// the total ready depth on the way. Halted jobs are skipped: their
+    /// remaining ready tasks are abandoned while in-flight attempts drain.
+    fn pick_wfq_job(&mut self) -> Option<(f64, JobId)> {
+        let mut depth = self.smalls.len();
+        let mut best: Option<(f64, JobId)> = None;
+        for (&id, j) in &self.jobs {
+            depth += j.run.ready_len();
+            let better = match best {
+                Some((v, b)) => j.vtime.total_cmp(&v).then(id.cmp(&b)).is_lt(),
+                None => true,
             };
-            if expected {
-                job.in_flight = job.in_flight.saturating_sub(1);
-            }
-            match outcome {
-                TaskOutcome::Done {
-                    completed,
-                    stage_wait,
-                    compute_ns,
-                } => {
-                    job.stage_wait += stage_wait;
-                    job.task_latency.record_ns(compute_ns);
-                    // Commit fence: first result wins, duplicates from
-                    // retried attempts are dropped. A cancelled job stops
-                    // committing here so its DAG drains instead of
-                    // advancing (the attempt's staging was non-destructive,
-                    // so dropping the result leaves clean state).
-                    if !job.committed[task] && !job.cancelled {
-                        // Poison fence: scan panel-factor output before it
-                        // becomes an input of downstream tasks.
-                        if is_panel_factor(job.graph.task(task)) {
-                            poisoned = completed.first_non_finite();
-                        }
-                        if poisoned.is_none() {
-                            let t0 = Instant::now();
-                            job.shared
-                                .as_ref()
-                                .expect("state present while tasks run")
-                                .commit(*completed);
-                            job.commit_wait += t0.elapsed();
-                            job.committed[task] = true;
-                            job.tasks_per_worker[worker] += 1;
-                            let kind = job.graph.task(task);
-                            let slot = class_slot(kind.class());
-                            let compute_us = compute_ns as f64 / 1e3;
-                            job.class_compute_us[slot] += compute_us;
-                            job.class_tasks[slot] += 1;
-                            if let Some((detector, base)) = job.drift.as_mut() {
-                                detector.record(slot, compute_us);
-                                // Panel boundary: first commit of a later
-                                // panel closes the previous panel's window.
-                                if kind.panel() > job.drift_panel {
-                                    job.drift_panel = kind.panel();
-                                    if let Some(ratios) = detector.check() {
-                                        let scaled = base.scaled(ratios);
-                                        let b = job.b;
-                                        job.ready.reprioritize(bottom_levels(&job.graph, |k| {
-                                            scaled.cost_us(k, b)
-                                        }));
-                                        job.drift_reweights += 1;
-                                    }
-                                }
-                            }
-                            let graph = Arc::clone(&job.graph);
-                            for s in job.tracker.complete(&graph, task) {
-                                job.ready.push(s);
-                            }
-                            if job.tracker.all_done() {
-                                self.finalize_pending.push(id);
-                            }
-                        }
-                    }
-                }
-                TaskOutcome::Failed(e) => {
-                    if !job.cancelled {
-                        retry_err = Some(e);
-                    }
-                }
-                TaskOutcome::Panicked(message) => {
-                    if expected {
-                        job.worker_deaths += 1;
-                        respawn_needed = true;
-                        if !job.cancelled {
-                            job.requeues += 1;
-                            retry_err = Some(MatrixError::Runtime {
-                                reason: format!("worker {worker} panicked: {message}"),
-                            });
-                        }
-                    }
-                }
-            }
-            if job.cancelled && job.in_flight == 0 && !job.tracker.all_done() {
-                drained_cancel = true;
+            if better && j.run.ready_len() > 0 && j.run.halt.is_none() {
+                best = Some((j.vtime, id));
             }
         }
-        if respawn_needed {
-            self.respawn(worker);
-        }
-        if let Some(tile) = poisoned {
-            // Fail only the victim: its state is dropped before the NaN
-            // was ever committed, so no other tile (or job) saw it.
-            self.metrics.lock().unwrap().lifecycle.poison_detected += 1;
-            self.fail_job(
-                id,
-                ServiceError::NumericalBreakdown {
-                    task: Some(task),
-                    tile,
-                },
-            );
-            return;
-        }
-        if let Some(e) = retry_err {
-            self.retry_or_fail(id, task, e);
-        }
-        if drained_cancel {
-            self.cancel_finish(id);
-        }
-    }
-
-    fn handle_batch_done(&mut self, done: BatchDone<T>) {
-        let BatchDone { worker, items } = done;
-        self.in_flight_of[worker] = None;
-        self.idle.push(worker);
-        self.batch_in_flight -= 1;
-        for item in items {
-            let BatchItem {
-                meta,
-                result,
-                elapsed,
-                tasks,
-            } = item;
-            match result {
-                Ok((output, task_latency)) => {
-                    let mut tasks_per_worker = vec![0u64; self.workers];
-                    tasks_per_worker[worker] = tasks;
-                    let counters = HotPathCounters {
-                        cow_clones: output.factor().state.cow_clones(),
-                        ..HotPathCounters::default()
-                    };
-                    let report = RunReport {
-                        tasks_per_worker,
-                        elapsed,
-                        stage_wait: Duration::ZERO,
-                        commit_wait: Duration::ZERO,
-                        max_ready_depth: 0,
-                        policy: self.cfg.policy,
-                        retries: 0,
-                        requeues: 0,
-                        worker_deaths: 0,
-                        drift_reweights: 0,
-                        trace: None,
-                        counters,
-                    };
-                    let latency = meta.submitted.elapsed();
-                    let result = JobResult {
-                        job: meta.id,
-                        class: meta.class,
-                        output,
-                        report,
-                        queue_wait: meta.queue_wait,
-                        latency,
-                        dispatch_delay_tasks: meta.dispatch_delay_tasks,
-                        backlog_at_submit: meta.backlog_at_submit,
-                        batched: true,
-                        task_latency,
-                        class_compute_us: [0.0; 3],
-                        class_tasks: [0; 3],
-                    };
-                    self.gate.release();
-                    let _ = meta.result_tx.send(Ok(result));
-                    self.record_done(meta.class, meta.queue_wait, latency);
-                }
-                Err(f) => {
-                    let err = match f {
-                        UnitFailure::Numeric(e) => ServiceError::Numeric(e),
-                        UnitFailure::Panicked(message) => {
-                            ServiceError::Runtime(RuntimeError::TaskPanicked {
-                                task: 0,
-                                worker,
-                                message,
-                            })
-                        }
-                    };
-                    self.gate.release();
-                    let _ = meta.result_tx.send(Err(err));
-                    self.metrics.lock().unwrap().jobs_failed += 1;
-                }
-            }
-        }
-    }
-
-    fn handle_epilogue_done(&mut self, done: EpilogueDone<T>) {
-        let EpilogueDone {
-            job: id,
-            worker,
-            result,
-        } = done;
-        self.in_flight_of[worker] = None;
-        self.idle.push(worker);
-        match result {
-            Ok(output) => {
-                let report = self
-                    .jobs
-                    .get_mut(&id)
-                    .and_then(|j| j.report.take())
-                    .expect("epilogue job has a stashed report");
-                self.complete_job(id, output, report, false);
-            }
-            Err(f) => {
-                let err = match f {
-                    UnitFailure::Numeric(e) => ServiceError::Numeric(e),
-                    UnitFailure::Panicked(message) => {
-                        ServiceError::Runtime(RuntimeError::TaskPanicked {
-                            task: 0,
-                            worker,
-                            message,
-                        })
-                    }
-                };
-                self.fail_job(id, err);
-            }
-        }
-    }
-
-    /// Pick the backlogged job with the smallest virtual time. Cancelled
-    /// jobs are skipped: their remaining ready tasks are abandoned while
-    /// in-flight attempts drain.
-    fn pick_wfq_job(&self) -> Option<(f64, JobId)> {
-        self.jobs
-            .iter()
-            .filter(|(_, j)| !j.ready.is_empty() && !j.cancelled)
-            .map(|(&id, j)| (j.vtime, id))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        self.max_depth = self.max_depth.max(depth);
+        best
     }
 
     fn pick_batch(&self) -> Option<(f64, usize)> {
@@ -2081,15 +1342,14 @@ impl<T: Scalar> Manager<T> {
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
     }
 
-    /// Hand work to idle workers: epilogues first (short, completes an
-    /// admitted job), then the weighted-fair choice between regular job
+    /// Hand work to idle workers: units first (short, each completes
+    /// admitted jobs), then the weighted-fair choice between regular job
     /// tasks and pending small-job batches.
     fn dispatch(&mut self) {
-        while let Some(&w) = self.idle.last() {
-            if let Some(work) = self.epi_queue.pop_front() {
-                if let Some(back) = self.try_send(w, work, InFlight::Other) {
-                    self.epi_queue.push_front(back);
-                }
+        while let Some(w) = self.slots.idle() {
+            if let Some(unit) = self.units.pop_front() {
+                self.slots.send(w, unit);
+                self.units_in_flight += 1;
                 continue;
             }
             let best_job = self.pick_wfq_job();
@@ -2102,37 +1362,9 @@ impl<T: Scalar> Manager<T> {
             }
             match (best_job, best_batch) {
                 (None, None) => break,
-                (Some((jv, id)), Some((bv, bi))) => {
-                    if bv <= jv {
-                        self.dispatch_batch(w, bi);
-                    } else {
-                        self.dispatch_task(w, id);
-                    }
-                }
+                (Some((jv, id)), Some((bv, _))) if jv < bv => self.dispatch_task(w, id),
                 (Some((_, id)), None) => self.dispatch_task(w, id),
-                (None, Some((_, bi))) => self.dispatch_batch(w, bi),
-            }
-        }
-        let depth: usize =
-            self.jobs.values().map(|j| j.ready.len()).sum::<usize>() + self.smalls.len();
-        let mut m = self.metrics.lock().unwrap();
-        m.max_ready_depth = m.max_ready_depth.max(depth);
-    }
-
-    /// Send a unit to worker `w`. On success the worker leaves the idle
-    /// stack; on a dead dispatch channel (a just-panicked worker whose
-    /// report is still queued) the slot is respawned and the unit handed
-    /// back to the caller to re-queue.
-    fn try_send(&mut self, w: usize, work: Work<T>, marker: InFlight) -> Option<Work<T>> {
-        match self.slots[w].tx.send(work) {
-            Ok(()) => {
-                self.idle.pop();
-                self.in_flight_of[w] = Some(marker);
-                None
-            }
-            Err(mpsc::SendError(work)) => {
-                self.respawn(w);
-                Some(work)
+                (_, Some((_, bi))) => self.take_batch(bi),
             }
         }
     }
@@ -2141,161 +1373,97 @@ impl<T: Scalar> Manager<T> {
         let Some(job) = self.jobs.get_mut(&id) else {
             return;
         };
-        // Skip entries already committed via a racing retry.
-        let task = loop {
-            match job.ready.pop() {
-                Some(t) if job.committed[t] => continue,
-                Some(t) => break t,
-                None => return,
-            }
+        let first = job.run.started.is_none();
+        let injector = job.injector.as_deref().map(|f| f as &dyn FaultInjector);
+        let Some(work) = job.run.next(&job.product.graph, id, w, injector) else {
+            return;
         };
-        if job.started.is_none() {
-            job.started = Some(Instant::now());
-            job.meta.queue_wait = job.started.unwrap().duration_since(job.meta.submitted);
+        if first {
+            job.meta.queue_wait = job.meta.submitted.elapsed();
             job.meta.dispatch_delay_tasks = self.dispatch_count - job.meta.submit_dispatch_count;
         }
-        job.attempts[task] += 1;
-        let kind = job.graph.task(task);
-        let work = Work::Task {
-            job: id,
-            task,
-            kind,
-            // Worker-facing attempt numbers are 0-based, matching the
-            // pool path and `ScriptedFaults`' `attempt < count` window.
-            attempt: job.attempts[task] - 1,
-            shared: Arc::clone(job.shared.as_ref().expect("state present while tasks run")),
-            injector: job.injector.clone(),
-        };
-        job.in_flight += 1;
         self.dispatch_count += 1;
         self.vclock = job.vtime;
-        job.vtime += task_cost(job.cost, job.b, kind) / job.weight;
-        self.metrics.lock().unwrap().tasks_dispatched += 1;
-        let marker = InFlight::Task {
-            job: id,
-            task,
-            since: Instant::now(),
-        };
-        if self.try_send(w, work, marker).is_some() {
-            // Dead channel: undo the dispatch so the retry path stays
-            // honest, and put the task back in the ready set.
-            if let Some(job) = self.jobs.get_mut(&id) {
-                job.attempts[task] -= 1;
-                job.in_flight -= 1;
-                job.requeues += 1;
-                job.ready.push(task);
-            }
-        }
+        job.vtime += task_cost(job.cost, job.b, work.kind) / job.weight;
+        self.slots.send(w, Work::Task(work));
     }
 
-    fn dispatch_batch(&mut self, w: usize, index: usize) {
-        let Some(mut batch) = self.batches.remove(index) else {
+    /// Stamp a pending batch as dispatched and queue it as one unit.
+    fn take_batch(&mut self, index: usize) {
+        let Some(batch) = self.batches.remove(index) else {
             return;
         };
         self.vclock = batch.vtime;
         let now = Instant::now();
-        let mut units = Vec::with_capacity(batch.units.len());
-        for mut small in batch.units.drain(..) {
+        let mut units = batch.units;
+        for small in &mut units {
             small.meta.queue_wait = now.duration_since(small.meta.submitted);
             small.meta.dispatch_delay_tasks =
                 self.dispatch_count - small.meta.submit_dispatch_count;
+            small.meta.dispatched = 1;
             self.dispatch_count += 1;
-            units.push(BatchUnit {
-                meta: small.meta,
-                state: small.state,
-                graph: small.graph,
-                rows: small.rows,
-                cols: small.cols,
-                payload: small.payload,
-            });
         }
-        let count = units.len() as u64;
-        match self.try_send(w, Work::Batch(units), InFlight::Other) {
-            None => {
-                let mut m = self.metrics.lock().unwrap();
-                m.batches += 1;
-                m.jobs_batched += count;
-                m.tasks_dispatched += count;
-                drop(m);
-                self.batch_in_flight += 1;
-            }
-            Some(Work::Batch(units)) => {
-                // Dead channel: re-queue the batch untouched; the metas
-                // are restamped on the next dispatch.
-                let vtime = batch.vtime;
-                let units = units
-                    .into_iter()
-                    .map(|u| SmallJob {
-                        meta: u.meta,
-                        state: u.state,
-                        graph: u.graph,
-                        rows: u.rows,
-                        cols: u.cols,
-                        payload: u.payload,
-                        vtime,
-                    })
-                    .collect();
-                self.batches.push_back(PendingBatch { units, vtime });
-            }
-            Some(_) => unreachable!("batch send returns batch work"),
+        {
+            let mut m = self
+                .metrics
+                .lock()
+                .expect("no thread panics holding the stats lock");
+            m.batches += 1;
+            m.jobs_batched += units.len() as u64;
         }
+        let (workers, policy) = (self.workers, self.cfg.policy);
+        self.units.push_back(Work::Unit(Box::new(move |worker| {
+            run_batch(units, worker, workers, policy)
+        })));
     }
 
     fn is_drained(&self) -> bool {
         self.jobs.is_empty()
             && self.smalls.is_empty()
             && self.batches.is_empty()
-            && self.epi_queue.is_empty()
-            && self.batch_in_flight == 0
+            && self.units.is_empty()
+            && self.units_in_flight == 0
     }
 
     fn handle(&mut self, msg: Msg<T>) {
         match msg {
             Msg::Submit(nj) => self.handle_submit(*nj),
-            Msg::TaskDone(d) => self.handle_task_done(*d),
-            Msg::BatchDone(d) => self.handle_batch_done(d),
-            Msg::EpilogueDone(d) => self.handle_epilogue_done(*d),
-            Msg::Cancel(id) => self.handle_cancel(id),
-            Msg::Drain(ack) => {
-                self.draining = true;
-                self.drain_ack = Some(ack);
+            Msg::Task(done) => self.on_task_done(*done),
+            Msg::Unit { worker, results } => {
+                self.slots.settle_unit(worker);
+                self.units_in_flight -= 1;
+                for (meta, result) in results {
+                    self.resolve(meta, result);
+                }
             }
+            Msg::Cancel(id) => self.handle_cancel(id),
+            Msg::Drain(ack) => self.drain_ack = Some(ack),
         }
     }
 
     fn run(mut self) {
         loop {
-            self.wake_parked();
-            self.sweep_shed();
-            self.sweep_watchdog();
-            self.run_finalize();
+            let now = Instant::now();
+            self.fire_timers(now);
+            self.reap_stalled();
+            for id in std::mem::take(&mut self.finalize_pending) {
+                self.settle(id);
+            }
             self.dispatch();
-            if self.draining && self.is_drained() {
+            if self.drain_ack.is_some() && self.is_drained() {
                 break;
             }
-            // Pick a wait bound: due parked retries, queued-job
-            // deadlines, watchdog expiries, and deferred finalizations
-            // all need the loop to spin again without a new message
-            // arriving.
-            let mut timeout: Option<Duration> = None;
-            if let Some(Reverse((deadline, _, _))) = self.parked.peek() {
-                let d = deadline.saturating_duration_since(Instant::now());
-                timeout = Some(timeout.map_or(d, |t| t.min(d)));
-            }
-            if let Some(shed_at) = self.earliest_queued_deadline() {
-                let d = shed_at.saturating_duration_since(Instant::now());
-                timeout = Some(timeout.map_or(d, |t| t.min(d)));
-            }
-            if let Some(expiry) = self.earliest_stall_expiry() {
-                let d = expiry.saturating_duration_since(Instant::now());
-                timeout = Some(timeout.map_or(d, |t| t.min(d)));
-            }
-            if !self.finalize_pending.is_empty() {
-                let d = Duration::from_millis(1);
-                timeout = Some(timeout.map_or(d, |t| t.min(d)));
-            }
-            let first = match timeout {
-                Some(d) => match self.rx.recv_timeout(d) {
+            // Sleep until a message, a parked retry, a queued job's
+            // deadline, or a watchdog expiry.
+            let stall = self
+                .cfg
+                .fault_tolerance
+                .stall_timeout
+                .and_then(|bound| self.slots.earliest_expiry(bound));
+            let timer = self.timers.peek().map(|&Reverse((at, _))| at);
+            let next = timer.into_iter().chain(stall).min();
+            let first = match next {
+                Some(at) => match self.rx.recv_timeout(at.saturating_duration_since(now)) {
                     Ok(m) => Some(m),
                     Err(RecvTimeoutError::Timeout) => None,
                     Err(RecvTimeoutError::Disconnected) => break,
@@ -2314,18 +1482,6 @@ impl<T: Scalar> Manager<T> {
         }
         if let Some(ack) = self.drain_ack.take() {
             let _ = ack.send(());
-        }
-        // Close dispatch channels so every worker's recv loop ends, then
-        // join current and retired threads.
-        let slots = std::mem::take(&mut self.slots);
-        for slot in slots {
-            drop(slot.tx);
-            if let Some(h) = slot.handle {
-                let _ = h.join();
-            }
-        }
-        for h in std::mem::take(&mut self.graveyard) {
-            let _ = h.join();
         }
     }
 }
@@ -2395,7 +1551,35 @@ impl<T: Scalar> QrService<T> {
         let manager = std::thread::Builder::new()
             .name("qr-service-manager".into())
             .spawn(move || {
-                Manager::new(config, workers, rx, mgr_tx, mgr_gate, mgr_metrics).run();
+                // Workers are scoped to the manager: every thread, retired
+                // ones included, is joined when the manager returns.
+                std::thread::scope(|scope| {
+                    let arena =
+                        (config.workspace == WorkspacePolicy::PerWorker).then(Workspace::minimal);
+                    let trace = TraceConfig::default();
+                    let slots =
+                        Slots::new(scope, workers, false, mgr_tx, arena, trace, Instant::now());
+                    Manager {
+                        cfg: config,
+                        workers,
+                        rx,
+                        slots,
+                        jobs: HashMap::new(),
+                        smalls: VecDeque::new(),
+                        batches: VecDeque::new(),
+                        units: VecDeque::new(),
+                        units_in_flight: 0,
+                        finalize_pending: Vec::new(),
+                        timers: BinaryHeap::new(),
+                        vclock: 0.0,
+                        dispatch_count: 0,
+                        max_depth: 0,
+                        drain_ack: None,
+                        gate: mgr_gate,
+                        metrics: mgr_metrics,
+                    }
+                    .run();
+                });
             })
             .expect("spawn service manager");
         QrService {
@@ -2477,21 +1661,32 @@ impl<T: Scalar> QrService<T> {
         self.gate.acquire(block)?;
         let id = self.next_job.fetch_add(1, Ordering::SeqCst) + 1;
         let (result_tx, result_rx) = mpsc::channel();
-        let msg = Msg::Submit(Box::new(NewJob {
+        let submitted = Instant::now();
+        let meta = JobMeta {
             id,
-            state,
-            graph,
-            rows,
-            cols,
-            b,
-            payload: spec.payload,
             class: spec.priority,
+            submitted,
+            deadline: spec.deadline.map(|d| submitted + d),
+            submit_dispatch_count: 0,
+            backlog_at_submit: 0,
+            queue_wait: Duration::ZERO,
+            dispatch_delay_tasks: 0,
+            dispatched: 0,
+            result_tx,
+        };
+        let msg = Msg::Submit(Box::new(NewJob {
+            meta,
+            state,
+            product: Product {
+                graph,
+                rows,
+                cols,
+                payload: spec.payload,
+            },
+            b,
             cost: spec.cost.unwrap_or(self.default_cost),
             tuning: spec.tuning,
             injector: spec.injector,
-            submitted: Instant::now(),
-            deadline: spec.deadline,
-            result_tx,
         }));
         let guard = self.tx.lock().unwrap();
         match guard.as_ref() {

@@ -127,6 +127,37 @@ fn warm_start_skips_probing() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A store that exists but does not parse survives a fit byte for byte:
+/// persisting must never replace every tuned shape with the one just
+/// fitted.
+#[test]
+fn truncated_store_is_left_byte_identical() {
+    let path = scratch_path("truncated");
+    let mut store = ProfileStore::new();
+    store.insert("256x128", synthetic_profile(4));
+    let json = store.to_json();
+    let truncated = &json.as_bytes()[..json.len() / 2];
+    std::fs::write(&path, truncated).unwrap();
+
+    let a = random_matrix::<f64>(48, 48, 29);
+    let svc: TunedQrService<f64> =
+        TunedQrService::start_with(service_config(), tuner(&[4, 8, 16], Some(path.clone())));
+    for _ in 0..3 {
+        svc.factor(&a).unwrap();
+    }
+    assert!(
+        svc.profile_for(48, 48).is_some(),
+        "the probes must fit a profile, so a persist was attempted"
+    );
+    svc.shutdown();
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        truncated,
+        "a store that fails to parse must not be overwritten"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Probe and tuned jobs both produce factors bit-identical to the
 /// sequential run of the same (tile, tree) plan; the stats counters
 /// track the per-shape transition.

@@ -17,7 +17,7 @@ use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
 use tileqr_runtime::{
-    parallel_factor_ft, FaultTolerance, PoolConfig, RunReport, RuntimeError, ScriptedFaults,
+    run_dag, FaultTolerance, PoolConfig, RunReport, RuntimeError, ScriptedFaults,
 };
 use tileqr_testkit::oracle::verify_qr;
 use tileqr_testkit::{policies_under_test, workers_under_test};
@@ -44,7 +44,7 @@ fn ft_run(
     ft: FaultTolerance,
     injector: &ScriptedFaults,
 ) -> Result<(FactorState<f64>, RunReport), RuntimeError> {
-    parallel_factor_ft(
+    run_dag(
         FactorState::new(tiled.clone()),
         g,
         PoolConfig {
@@ -52,6 +52,7 @@ fn ft_run(
             policy,
             ..PoolConfig::default()
         },
+        None,
         Some(ft),
         Some(injector),
     )

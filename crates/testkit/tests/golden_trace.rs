@@ -14,14 +14,12 @@
 //!    iff faults were injected.
 
 use std::collections::BTreeSet;
+use tileqr::{QrOptions, TiledQr};
 use tileqr_dag::{counts, EliminationOrder, TaskGraph};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::TiledMatrix;
 use tileqr_obs::{kind_index, EventKind, Phase, Trace, TraceConfig};
-use tileqr_runtime::{
-    parallel_factor_ft, parallel_factor_ordered, DispatchOrder, FaultTolerance, PoolConfig,
-    ScriptedFaults,
-};
+use tileqr_runtime::{run_dag, DispatchOrder, FaultTolerance, PoolConfig, ScriptedFaults};
 use tileqr_testkit::{policies_under_test, workers_under_test};
 
 const N: usize = 32;
@@ -66,10 +64,10 @@ fn golden_traces_across_workers_and_policies() {
     let (tiled, g) = fixture();
     for &workers in &workers_under_test() {
         for &policy in &policies_under_test() {
-            // `parallel_factor_ordered` runs the real manager loop even
-            // at one worker, so the single-lane golden trace exercises
-            // the same recording paths as the multi-worker runs.
-            let (_, report) = parallel_factor_ordered(
+            // `run_dag` runs the same state machine at one worker (on
+            // the caller's thread), so the single-lane golden trace
+            // exercises the same recording paths as the multi-worker runs.
+            let (_, report) = run_dag(
                 FactorState::new(tiled.clone()),
                 &g,
                 PoolConfig {
@@ -78,7 +76,9 @@ fn golden_traces_across_workers_and_policies() {
                     trace: TraceConfig::enabled(),
                     ..PoolConfig::default()
                 },
-                DispatchOrder::Policy(policy),
+                Some(DispatchOrder::Policy(policy)),
+                None,
+                None,
             )
             .unwrap();
             let trace = report
@@ -130,7 +130,7 @@ fn golden_trace_ft_clean_run_has_no_recovery_events() {
         if workers < 2 {
             continue; // the recovering pool needs a real pool
         }
-        let (_, report) = parallel_factor_ft(
+        let (_, report) = run_dag(
             FactorState::new(tiled.clone()),
             &g,
             PoolConfig {
@@ -138,6 +138,7 @@ fn golden_trace_ft_clean_run_has_no_recovery_events() {
                 trace: TraceConfig::enabled(),
                 ..PoolConfig::default()
             },
+            None,
             Some(FaultTolerance::default()),
             None,
         )
@@ -164,7 +165,7 @@ fn golden_trace_records_retries_iff_faults_injected() {
     // Two scripted transient failures: attempt 0 of two tasks errors
     // before staging, so the retried attempts are the only compute spans.
     let faults = ScriptedFaults::new().fail_on(1, 1).fail_on(g.len() / 2, 1);
-    let (_, report) = parallel_factor_ft(
+    let (_, report) = run_dag(
         FactorState::new(tiled),
         &g,
         PoolConfig {
@@ -172,6 +173,7 @@ fn golden_trace_records_retries_iff_faults_injected() {
             trace: TraceConfig::enabled(),
             ..PoolConfig::default()
         },
+        None,
         Some(FaultTolerance::default()),
         Some(&faults),
     )
@@ -203,7 +205,7 @@ fn golden_trace_worker_death_leaves_marker() {
     let (tiled, g) = fixture();
     let victim = g.len() / 3;
     let faults = ScriptedFaults::new().panic_on(victim, 1);
-    let (_, report) = parallel_factor_ft(
+    let (_, report) = run_dag(
         FactorState::new(tiled),
         &g,
         PoolConfig {
@@ -211,6 +213,7 @@ fn golden_trace_worker_death_leaves_marker() {
             trace: TraceConfig::enabled(),
             ..PoolConfig::default()
         },
+        None,
         Some(FaultTolerance::default()),
         Some(&faults),
     )
@@ -228,18 +231,20 @@ fn golden_trace_worker_death_leaves_marker() {
 #[test]
 fn traced_and_untraced_runs_factor_identically() {
     let (tiled, g) = fixture();
-    let plain = parallel_factor_ordered(
+    let plain = run_dag(
         FactorState::new(tiled.clone()),
         &g,
         PoolConfig {
             workers: 2,
             ..PoolConfig::default()
         },
-        DispatchOrder::Policy(Default::default()),
+        Some(DispatchOrder::Policy(Default::default())),
+        None,
+        None,
     )
     .unwrap()
     .0;
-    let traced = parallel_factor_ordered(
+    let traced = run_dag(
         FactorState::new(tiled),
         &g,
         PoolConfig {
@@ -247,7 +252,9 @@ fn traced_and_untraced_runs_factor_identically() {
             trace: TraceConfig::enabled(),
             ..PoolConfig::default()
         },
-        DispatchOrder::Policy(Default::default()),
+        Some(DispatchOrder::Policy(Default::default())),
+        None,
+        None,
     )
     .unwrap()
     .0;
@@ -256,4 +263,37 @@ fn traced_and_untraced_runs_factor_identically() {
         traced.tiles().to_matrix(),
         "observing the run must not change it"
     );
+}
+
+/// The single-matrix API at one worker runs the same state machine on the
+/// caller's thread, so its trace tells the whole lifecycle: a `worker0`
+/// lane with one stage, one compute and one commit span per task, and a
+/// `manager` lane with every ready and dispatch instant.
+#[test]
+fn single_worker_factor_traced_records_the_full_lifecycle() {
+    let a = tileqr_matrix::gen::random_matrix::<f64>(N, N, SEED);
+    let opts = QrOptions::new()
+        .tile_size(B)
+        .workers(1)
+        .tracing(TraceConfig::enabled());
+    let (qr, report) = TiledQr::factor_traced(&a, &opts).unwrap();
+    let g = qr.graph();
+    let trace = report.trace.as_ref().expect("tracing was enabled");
+    assert_eq!(
+        trace.lanes,
+        vec!["worker0".to_string(), "manager".to_string()]
+    );
+    trace.validate(true).unwrap();
+    assert_complete(trace, g);
+    for phase in [Phase::Stage, Phase::Compute, Phase::Commit] {
+        let tasks: BTreeSet<usize> = trace.phase_spans(phase).map(|s| s.task).collect();
+        assert_eq!(tasks.len(), g.len(), "{phase:?}: one span per task");
+        assert_eq!(trace.phase_spans(phase).count(), g.len(), "{phase:?}");
+        assert!(
+            trace.phase_spans(phase).all(|s| s.lane == 0),
+            "{phase:?} on worker0"
+        );
+    }
+    assert_eq!(trace.events_of(EventKind::Ready).count(), g.len());
+    assert_eq!(trace.events_of(EventKind::Dispatch).count(), g.len());
 }

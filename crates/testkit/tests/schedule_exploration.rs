@@ -13,7 +13,7 @@ use tileqr_dag::{EliminationOrder, TaskGraph};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::TiledMatrix;
-use tileqr_runtime::{parallel_factor_ordered, DispatchOrder, PoolConfig, SchedulePolicy};
+use tileqr_runtime::{run_dag, DispatchOrder, PoolConfig, SchedulePolicy};
 use tileqr_testkit::explorer::{
     assert_bit_identical, explore, explore_vs_sequential, ExploreStrategy,
 };
@@ -108,7 +108,7 @@ fn real_pool_honors_adversarial_dispatch_orders() {
         ];
         for order in orders {
             let tiled = TiledMatrix::from_matrix(&a, B).unwrap();
-            let (state, report) = parallel_factor_ordered(
+            let (state, report) = run_dag(
                 FactorState::new(tiled),
                 &graph,
                 PoolConfig {
@@ -116,7 +116,9 @@ fn real_pool_honors_adversarial_dispatch_orders() {
                     policy: order.base_policy(),
                     ..PoolConfig::default()
                 },
-                order,
+                Some(order),
+                None,
+                None,
             )
             .unwrap();
             let run: u64 = report.tasks_per_worker.iter().sum();
@@ -139,7 +141,7 @@ fn pool_seeded_orders_sample_many_interleavings_safely() {
     let expect_r = reference.r_matrix();
     for seed in 0..20 {
         let tiled = TiledMatrix::from_matrix(&a, B).unwrap();
-        let (state, _) = parallel_factor_ordered(
+        let (state, _) = run_dag(
             FactorState::new(tiled),
             &graph,
             PoolConfig {
@@ -147,7 +149,9 @@ fn pool_seeded_orders_sample_many_interleavings_safely() {
                 policy: SchedulePolicy::Fifo,
                 ..PoolConfig::default()
             },
-            DispatchOrder::Seeded(seed),
+            Some(DispatchOrder::Seeded(seed)),
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(state.r_matrix(), expect_r, "seed {seed} diverged");

@@ -16,9 +16,7 @@ use tileqr_kernels::exec::FactorState;
 use tileqr_kernels::WorkspacePolicy;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
-use tileqr_runtime::{
-    parallel_factor_ft, parallel_factor_traced, FaultTolerance, PoolConfig, ScriptedFaults,
-};
+use tileqr_runtime::{run_dag, FaultTolerance, PoolConfig, ScriptedFaults};
 use tileqr_testkit::{policies_under_test, workers_under_test};
 
 /// Sequential ground truth (which itself runs on a reused arena).
@@ -68,7 +66,7 @@ fn arena_runs_match_the_sequential_path_bitwise() {
     for workers in workers_under_test() {
         for policy in policies_under_test() {
             for workspace in [WorkspacePolicy::PerWorker, WorkspacePolicy::PerCall] {
-                let (state, report) = parallel_factor_traced(
+                let (state, report) = run_dag(
                     FactorState::new(tiled.clone()),
                     &g,
                     PoolConfig {
@@ -77,6 +75,9 @@ fn arena_runs_match_the_sequential_path_bitwise() {
                         workspace,
                         ..PoolConfig::default()
                     },
+                    None,
+                    None,
+                    None,
                 )
                 .expect("factorization");
                 let ctx = format!("workers={workers} policy={policy:?} workspace={workspace:?}");
@@ -104,7 +105,7 @@ fn arena_runs_with_fault_injection_stay_bit_identical() {
                     .panic_on(g.len() / 2, 1)
                     .fail_on(g.len() / 4, 1)
                     .fail_on(g.len() - 1, 1);
-                let (state, report) = parallel_factor_ft(
+                let (state, report) = run_dag(
                     FactorState::new(tiled.clone()),
                     &g,
                     PoolConfig {
@@ -113,6 +114,7 @@ fn arena_runs_with_fault_injection_stay_bit_identical() {
                         workspace,
                         ..PoolConfig::default()
                     },
+                    None,
                     Some(FaultTolerance {
                         max_attempts: 4,
                         ..FaultTolerance::default()
@@ -148,7 +150,7 @@ fn arena_runs_stay_bit_identical_for_every_elimination_tree() {
         seq.run_all(&g).unwrap();
         for workers in workers_under_test() {
             for workspace in [WorkspacePolicy::PerWorker, WorkspacePolicy::PerCall] {
-                let (state, report) = parallel_factor_traced(
+                let (state, report) = run_dag(
                     FactorState::new(tiled.clone()),
                     &g,
                     PoolConfig {
@@ -156,6 +158,9 @@ fn arena_runs_stay_bit_identical_for_every_elimination_tree() {
                         workspace,
                         ..PoolConfig::default()
                     },
+                    None,
+                    None,
+                    None,
                 )
                 .expect("factorization");
                 let ctx = format!("tree={tree} workers={workers} workspace={workspace:?}");
@@ -180,7 +185,7 @@ fn inner_blocked_arena_runs_match_sequential_bitwise() {
     for workers in workers_under_test() {
         for policy in policies_under_test() {
             for workspace in [WorkspacePolicy::PerWorker, WorkspacePolicy::PerCall] {
-                let (state, _) = parallel_factor_traced(
+                let (state, _) = run_dag(
                     FactorState::with_inner_block(tiled.clone(), 4),
                     &g,
                     PoolConfig {
@@ -189,6 +194,9 @@ fn inner_blocked_arena_runs_match_sequential_bitwise() {
                         workspace,
                         ..PoolConfig::default()
                     },
+                    None,
+                    None,
+                    None,
                 )
                 .expect("factorization");
                 let ctx =
@@ -212,13 +220,16 @@ fn counters_are_clean_on_uniquely_owned_input() {
             tiled.tile_cols(),
             EliminationOrder::FlatTs,
         );
-        let (_, report) = parallel_factor_traced(
+        let (_, report) = run_dag(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers,
                 ..PoolConfig::default()
             },
+            None,
+            None,
+            None,
         )
         .expect("factorization");
         assert_eq!(report.cow_clones(), 0, "workers={workers}");

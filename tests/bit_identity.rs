@@ -6,7 +6,7 @@
 
 use tileqr::dag::{EliminationOrder, TaskGraph};
 use tileqr::kernels::FactorState;
-use tileqr::runtime::{parallel_factor, PoolConfig, SchedulePolicy};
+use tileqr::runtime::{run_dag, PoolConfig, SchedulePolicy};
 use tileqr::{Matrix, TiledMatrix};
 
 fn factor_sequential(a: &Matrix<f64>, b: usize, order: EliminationOrder) -> FactorState<f64> {
@@ -29,7 +29,7 @@ fn parallel_runs_bit_identical_to_sequential_across_the_sweep() {
             for policy in [SchedulePolicy::Fifo, SchedulePolicy::CriticalPath] {
                 let tiled = TiledMatrix::from_matrix(&a, b).unwrap();
                 let g = TaskGraph::build(tiled.tile_rows(), tiled.tile_cols(), order);
-                let st = parallel_factor(
+                let st = run_dag(
                     FactorState::new(tiled),
                     &g,
                     PoolConfig {
@@ -37,7 +37,11 @@ fn parallel_runs_bit_identical_to_sequential_across_the_sweep() {
                         policy,
                         ..PoolConfig::default()
                     },
+                    None,
+                    None,
+                    None,
                 )
+                .map(|(state, _)| state)
                 .unwrap();
                 // Bit-identical, not approximately equal: `==` on the raw
                 // f64 storage.
@@ -68,7 +72,7 @@ fn tall_matrix_sweep_is_bit_identical() {
             for policy in [SchedulePolicy::Fifo, SchedulePolicy::CriticalPath] {
                 let tiled = TiledMatrix::from_matrix(&a, b).unwrap();
                 let g = TaskGraph::build(tiled.tile_rows(), tiled.tile_cols(), order);
-                let st = parallel_factor(
+                let st = run_dag(
                     FactorState::new(tiled),
                     &g,
                     PoolConfig {
@@ -76,7 +80,11 @@ fn tall_matrix_sweep_is_bit_identical() {
                         policy,
                         ..PoolConfig::default()
                     },
+                    None,
+                    None,
+                    None,
                 )
+                .map(|(state, _)| state)
                 .unwrap();
                 assert_eq!(
                     st.tiles().to_matrix(),
